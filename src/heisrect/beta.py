@@ -155,34 +155,22 @@ def beta_vertical(points, ball: Ball, method="calipers", n_dirs=720) -> BetaReco
 
 def save_beta_records(records, path):
     """Record batch as CSV columns cx,cy,ct,r,beta,theta,offset,method."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["cx", "cy", "ct", "r", "beta", "theta", "offset",
-                     "method"])
-        for rec in records:
-            c = rec.ball.center
-            wr.writerow([repr(float(c[0])), repr(float(c[1])),
-                         repr(float(c[2])), repr(float(rec.ball.radius)),
-                         repr(float(rec.beta)),
-                         repr(float(rec.best_plane.subgroup.theta)),
-                         repr(float(rec.best_plane.offset)), rec.method])
+    graphs.write_csv(
+        path, ["cx", "cy", "ct", "r", "beta", "theta", "offset", "method"],
+        ([*map(float, (*rec.ball.center, rec.ball.radius, rec.beta,
+                        rec.best_plane.subgroup.theta,
+                        rec.best_plane.offset)), rec.method]
+         for rec in records))
 
 
 def load_beta_records(path):
-    import csv
-
     out = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        for cx, cy, ct, r, b, theta, offset, method in rd:
-            plane = planes.VerticalPlane(
-                planes.VerticalSubgroup(float(theta)), float(offset))
-            out.append(BetaRecord(Ball(np.array([float(cx), float(cy),
-                                                 float(ct)]), float(r)),
-                                  float(b), plane, method))
+    for cx, cy, ct, r, b, theta, offset, method in graphs.read_csv(path):
+        plane = planes.VerticalPlane(
+            planes.VerticalSubgroup(float(theta)), float(offset))
+        out.append(BetaRecord(Ball(np.array([float(cx), float(cy),
+                                             float(ct)]), float(r)),
+                              float(b), plane, method))
     return out
 
 

@@ -7,7 +7,6 @@ reproducible from (subcommand, config, seed).  Exit codes: 0 ok,
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -136,7 +135,7 @@ def cmd_cubes(args, params):
     tree = cubes.build_cubes(ps.points, ps.masses,
                              j_min=args.scales[0], j_max=args.scales[1])
     inner_c = cubes.check_tree_invariants(tree)
-    cache = cubes.cube_beta_cache(tree, threads=args.threads)
+    cache = cubes.cube_beta_cache(tree)
     report = cubes.carleson_sum(tree, cache, args.epsilons)
     cubes.save_tree(tree, os.path.join(args.out, "cubes.json"))
     cubes.save_carleson(report, os.path.join(args.out, "carleson.csv"))
@@ -162,11 +161,7 @@ def cmd_wgl(args, params):
             sample_stride=int(params.get("stride", 4)))
         rows.append([eps, radius, est, est / radius ** 3])
     path = os.path.join(args.out, "wgl.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["epsilon", "R", "estimate", "normalized"])
-        for row in rows:
-            wr.writerow([repr(float(v)) for v in row])
+    graphs.write_csv(path, ["epsilon", "R", "estimate", "normalized"], rows)
     print(f"wgl: {len(rows)} estimates -> {path}")
     return 0
 
@@ -207,21 +202,16 @@ def cmd_partition(args, params):
     os.makedirs(args.out, exist_ok=True)
     tree = cubes.build_cubes(ps.points, ps.masses,
                              j_min=args.scales[0], j_max=args.scales[1])
-    cache = cubes.cube_beta_cache(tree, threads=args.threads)
+    cache = cubes.cube_beta_cache(tree)
     root = max(tree.roots(), key=lambda cid: tree.cubes[cid].mass)
     result = partition.graph_piece_partition(
         tree, root, cache,
         b=float(params.get("b", 0.4)), eps=float(params.get("eps", 0.05)))
-    path = os.path.join(args.out, "pieces.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["piece", "sigma", "x", "y", "t", "mass"])
-        for k, rep in enumerate(result.piece_reports):
-            for idx in rep.indices:
-                p = ps.points[idx]
-                wr.writerow([k, rep.code or "-",
-                             repr(float(p[0])), repr(float(p[1])),
-                             repr(float(p[2])), repr(float(ps.masses[idx]))])
+    graphs.write_csv(
+        os.path.join(args.out, "pieces.csv"),
+        ["piece", "sigma", "x", "y", "t", "mass"],
+        ([k, rep.code or "-", *ps.points[idx], ps.masses[idx]]
+         for k, rep in enumerate(result.piece_reports) for idx in rep.indices))
     covered_mass = float(sum(ps.masses[rep.indices].sum()
                              for rep in result.piece_reports))
     _write_json(os.path.join(args.out, "partition_summary.json"), {
@@ -331,8 +321,6 @@ def parse_args(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", default=None, help="JSON parameter file")
     parser.add_argument("--out", default="out")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("HEIS_RECT_THREADS", "1")))
     parser.add_argument("--scenario", default="affine")
     parser.add_argument("--epsilons", default="0.02,0.05,0.1,0.2",
                         help="comma-separated thresholds")
@@ -346,8 +334,6 @@ def parse_args(argv=None):
         else:
             lo, hi = args.scales.split(":")
             args.scales = (int(lo), int(hi))
-        if args.threads < 1:
-            raise ValueError("threads must be >= 1")
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return args
@@ -359,7 +345,10 @@ def main(argv=None):
         params = {}
         if args.config:
             with open(args.config) as fh:
-                params = json.load(fh)
+                try:
+                    params = json.load(fh)
+                except ValueError as err:  # JSONDecodeError, bad encoding
+                    raise ConfigError(f"malformed config: {err}") from err
         if not isinstance(params, dict):
             raise ConfigError("config must be a JSON object")
         return COMMANDS[args.command](args, params)

@@ -10,16 +10,14 @@ integral formulation of the packing condition, the pre-dyadic ball
 refinement, and stopping-time (corona) partitions.
 """
 
-import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import beta as beta_mod
-from . import core
+from . import core, graphs
 
 
 @dataclass
@@ -239,25 +237,12 @@ def sibling_pair(tree: CubeTree, i1, i2):
     return j, containing_cube(tree, i1, j), containing_cube(tree, i2, j)
 
 
-def cube_beta_cache(tree: CubeTree, multiplier=4.0, threads=1):
-    """Flatness number of B(z_Q, multiplier * 2^j) for every cube.
-
-    Per-cube evaluations are independent; results are keyed by cube id
-    so the reduction is identical for any thread count.
-    """
-    ids = sorted(tree.cubes)
-
-    def one(cid):
-        cube = tree.cubes[cid]
-        ball = beta_mod.Ball(tree.center(cid), multiplier * 2.0 ** cube.level)
-        return beta_mod.beta_vertical(tree.points, ball)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, ids))
-    else:
-        records = [one(cid) for cid in ids]
-    return dict(zip(ids, records))
+def cube_beta_cache(tree: CubeTree, multiplier=4.0):
+    """Flatness record of B(z_Q, multiplier * 2^j) for every cube, by id."""
+    return {cid: beta_mod.beta_vertical(
+                tree.points, beta_mod.Ball(tree.center(cid),
+                                           multiplier * 2.0 ** cube.level))
+            for cid, cube in sorted(tree.cubes.items())}
 
 
 def corona_ball_multiplier(b_inclusion):
@@ -281,22 +266,18 @@ def carleson_sum(tree: CubeTree, beta_of, epsilons,
                  ball_multiplier=4.0) -> CarlesonReport:
     """Packing sums K(eps, root) = sum of mu(Q)/mu(root) over high-beta cubes.
 
-    beta_of maps cube id to its cached flatness number (dict of floats
-    or of BetaRecord); missing entries raise.
+    beta_of maps cube id to its BetaRecord (cube_beta_cache output);
+    missing entries raise.
     """
     epsilons = sorted(float(e) for e in epsilons)
-
-    def get(cid):
-        val = beta_of[cid]
-        return val.beta if hasattr(val, "beta") else float(val)
-
     per_root = {}
     for root in tree.roots():
         ids = tree.descendants(root)
         root_mass = tree.cubes[root].mass
         ks = []
         for eps in epsilons:
-            total = sum(tree.cubes[cid].mass for cid in ids if get(cid) >= eps)
+            total = sum(tree.cubes[cid].mass for cid in ids
+                        if beta_of[cid].beta >= eps)
             ks.append(total / root_mass if root_mass > 0 else 0.0)
         per_root[root] = ks
     sup_k = [max(per_root[r][i] for r in per_root)
@@ -576,11 +557,6 @@ def alias_multiplicity(coronas):
     return max(counts.values()) if counts else 0
 
 
-def corona_root_packing(tree: CubeTree, coronas):
-    """Total root mass charged by the stopping-time trees."""
-    return sum(tree.cubes[ct.root].mass for ct in coronas)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -600,9 +576,7 @@ def save_tree(tree: CubeTree, path):
 
 
 def save_carleson(report: CarlesonReport, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["root_id", "epsilon", "K"])
-        for root in sorted(report.per_root):
-            for eps, k in zip(report.epsilons, report.per_root[root]):
-                wr.writerow([root, repr(float(eps)), repr(float(k))])
+    graphs.write_csv(path, ["root_id", "epsilon", "K"],
+                     ((root, eps, k) for root in sorted(report.per_root)
+                      for eps, k in zip(report.epsilons,
+                                        report.per_root[root])))

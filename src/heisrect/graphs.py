@@ -2,9 +2,10 @@
 
 A GridGraph stores phi on a rectangular (y, t) grid together with a
 surface-mass surrogate per node.  The graph itself is the point set
-{w . (phi(w), 0, 0)}, i.e. (phi, y, t - phi*y/2) in coordinates; all
-other vertical subgroups are handled by pre-rotating data, so this is
-the only chart in the package.
+{w . (phi(w), 0, 0)}, i.e. (phi, y, t - phi*y/2) in coordinates; other
+vertical subgroups are handled by pre-rotating data.  The inverse of
+the lift is the chart map planes.project_chart at planes.subgroup_y_t().
+This module also owns the CSV format of every artifact (write_csv).
 """
 
 import csv
@@ -111,12 +112,6 @@ def all_graph_points(g: GridGraph):
 
 def point_set(g: GridGraph, provenance="grid graph"):
     return GraphPointSet(all_graph_points(g), g.mass.ravel(), provenance)
-
-
-def chart_projection(points):
-    """pi_W in chart coordinates: (x, y, t) -> (y, t + x y / 2)."""
-    p = np.asarray(points, float)
-    return np.stack([p[..., 1], p[..., 2] + 0.5 * p[..., 0] * p[..., 1]], axis=-1)
 
 
 def intrinsic_gradient(g: GridGraph):
@@ -316,20 +311,32 @@ def calibrate_ball_inclusion(g: GridGraph, center, r):
 # ---------------------------------------------------------------------------
 # serialization: grid graphs as JSON header + CSV body, point sets as CSV
 
+def write_csv(path, header, rows):
+    """CSV artifact: floats as repr(float(v)), ints and strings verbatim."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([v if isinstance(v, (str, int, np.integer))
+                      else repr(float(v)) for v in row] for row in rows)
+
+
+def read_csv(path):
+    """Data rows of a CSV artifact as lists of strings, header skipped."""
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        next(rd)
+        return list(rd)
+
+
 def save_grid_graph(g: GridGraph, prefix):
     meta = {"y0": g.y0, "t0": g.t0, "dy": g.dy, "dt": g.dt,
             "ny": g.ny, "nt": g.nt}
     with open(str(prefix) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(str(prefix) + ".csv", "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["y", "t", "phi", "mass"])
-        ys, ts = g.ys, g.ts
-        for i in range(g.ny):
-            for j in range(g.nt):
-                wr.writerow([repr(float(ys[i])), repr(float(ts[j])),
-                             repr(float(g.phi[i, j])), repr(float(g.mass[i, j]))])
+    write_csv(str(prefix) + ".csv", ["y", "t", "phi", "mass"],
+              ((y, t, g.phi[i, j], g.mass[i, j])
+               for i, y in enumerate(g.ys) for j, t in enumerate(g.ts)))
 
 
 def load_grid_graph(prefix):
@@ -337,28 +344,17 @@ def load_grid_graph(prefix):
         meta = json.load(fh)
     phi = np.zeros((meta["ny"], meta["nt"]))
     mass = np.zeros_like(phi)
-    with open(str(prefix) + ".csv", newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        rows = [(float(a), float(b), float(c), float(d)) for a, b, c, d in rd]
-    for k, (_, _, p, m) in enumerate(rows):
-        phi[k // meta["nt"], k % meta["nt"]] = p
-        mass[k // meta["nt"], k % meta["nt"]] = m
+    for k, (_, _, p, m) in enumerate(read_csv(str(prefix) + ".csv")):
+        phi[k // meta["nt"], k % meta["nt"]] = float(p)
+        mass[k // meta["nt"], k % meta["nt"]] = float(m)
     return GridGraph(meta["y0"], meta["t0"], meta["dy"], meta["dt"], phi, mass)
 
 
 def save_point_set(ps: GraphPointSet, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "y", "t", "mass"])
-        for p, m in zip(ps.points, ps.masses):
-            wr.writerow([repr(float(p[0])), repr(float(p[1])),
-                         repr(float(p[2])), repr(float(m))])
+    write_csv(path, ["x", "y", "t", "mass"],
+              ((*p, m) for p, m in zip(ps.points, ps.masses)))
 
 
 def load_point_set(path, provenance=""):
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        next(rd)
-        rows = np.array([[float(v) for v in row] for row in rd])
+    rows = np.array([[float(v) for v in row] for row in read_csv(path)])
     return GraphPointSet(rows[:, :3], rows[:, 3], provenance or str(path))

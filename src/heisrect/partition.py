@@ -40,23 +40,13 @@ class GoodnessConfig:
             raise ValueError("cover cutoff must be at least 1")
 
 
-def project_chart(points, subgroup: planes.VerticalSubgroup):
-    """Vertical-projection coordinates (v, t) of points, v along V."""
-    p = np.asarray(points, float).reshape(-1, 3)
-    u = subgroup.direction
-    n = subgroup.normal
-    a = p[:, 0] * u[0] + p[:, 1] * u[1]
-    b = p[:, 0] * n[0] + p[:, 1] * n[1]
-    return np.column_stack([a, p[:, 2] - 0.5 * a * b])
-
-
 def median_projected_spacing(points, subgroup):
     """Median nearest-neighbour gap of the distinct projected samples.
 
     Coincident projections (distinct samples in one fiber, plus float
     dust) are skipped so the raster cell reflects actual structure.
     """
-    proj = project_chart(points, subgroup)
+    proj = planes.project_chart(points, subgroup)
     if len(proj) < 2:
         return 1.0
     scale = max(np.ptp(proj, axis=0).max(), 1e-30)
@@ -88,7 +78,7 @@ def projection_area(points, subgroup, mask=None, cell=None):
         raise ValueError("empty region")
     if cell is None:
         cell = 2.0 * median_projected_spacing(points, subgroup)
-    proj = project_chart(pts, subgroup)
+    proj = planes.project_chart(pts, subgroup)
     cells = {(int(math.floor(v / cell)), int(math.floor(t / cell)))
              for v, t in proj}
     return len(cells) * cell * cell
@@ -113,10 +103,6 @@ def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig, beta_of,
     cached flatness above eps.  Samples are removed when they lie in an
     area violator or meet at least cover_cutoff violator balls.
     """
-    def beta_val(cid):
-        val = beta_of[cid]
-        return val.beta if hasattr(val, "beta") else float(val)
-
     if cell is None:
         cell = 2.0 * median_projected_spacing(tree.points, cfg.subgroup)
     area_violators = []
@@ -130,20 +116,20 @@ def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig, beta_of,
             area_violators.append(cid)
         else:
             stack.extend(cube.children)
-    flat_violators = [cid for cid in tree.descendants(root_id)
-                      if beta_val(cid) > cfg.eps]
+    flat_violators = flatness_violators(tree, root_id, beta_of, cfg.eps)
 
     removed_area = np.unique(np.concatenate(
         [tree.cubes[cid].sample_indices for cid in area_violators]
         or [np.array([], dtype=int)]))
-    counts = np.zeros(len(tree.points), dtype=int)
-    for cid in flat_violators:
-        cube = tree.cubes[cid]
-        ball_r = ball_multiplier * 2.0 ** cube.level
-        counts[core.dist(tree.points, tree.center(cid)) <= ball_r] += 1
+    counts = cover_counts(tree, flat_violators, ball_multiplier)
     removed_cover = np.nonzero(counts >= cfg.cover_cutoff)[0]
     return Classification(sorted(area_violators), sorted(flat_violators),
                           removed_area, removed_cover, counts, cell)
+
+
+def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
+    """Cubes below a root whose cached flatness (BetaRecord) exceeds eps."""
+    return [cid for cid in tree.descendants(root_id) if beta_of[cid].beta > eps]
 
 
 def cover_counts(tree: CubeTree, flat_violators, ball_multiplier=4.0):
@@ -321,9 +307,7 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
     most b times the root mass.
     """
     subgroup = subgroup or planes.subgroup_y_t()
-    flat = [cid for cid in tree.descendants(root_id)
-            if (beta_of[cid].beta if hasattr(beta_of[cid], "beta")
-                else float(beta_of[cid])) > eps]
+    flat = flatness_violators(tree, root_id, beta_of, eps)
     if cover_cutoff is None:
         if area_to_mass is None:
             root = tree.cubes[root_id]

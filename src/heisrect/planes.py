@@ -133,11 +133,19 @@ def shear(p, w, subgroup: VerticalSubgroup):
     return project_w(core.mul(core.as_point(p), w), subgroup)
 
 
-def to_plane_coords(w, subgroup: VerticalSubgroup):
-    """Coordinates (a, t) of a point of W, a along the V direction."""
-    w = np.asarray(w, float)
+def project_chart(p, subgroup: VerticalSubgroup):
+    """pi_W in the (a, t) chart of W: p -> (a, t - a b / 2), a along V.
+
+    Equals the W-coordinates of split(p)[0]; inverse of from_plane_coords
+    on W.  At subgroup_y_t() this is (x, y, t) -> (y, t + x y / 2), the
+    inverse of the graph lift in graphs.graph_points.
+    """
+    p = np.asarray(p, float)
     u = subgroup.direction
-    return np.stack([w[..., 0] * u[0] + w[..., 1] * u[1], w[..., 2]], axis=-1)
+    n = subgroup.normal
+    a = p[..., 0] * u[0] + p[..., 1] * u[1]
+    b = p[..., 0] * n[0] + p[..., 1] * n[1]
+    return np.stack([a, p[..., 2] - 0.5 * a * b], axis=-1)
 
 
 def from_plane_coords(at, subgroup: VerticalSubgroup):

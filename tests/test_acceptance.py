@@ -72,9 +72,9 @@ def test_criterion_02_splitting_suite():
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            up = planes.to_plane_coords(planes.shear(
+            up = planes.project_chart(planes.shear(
                 q, planes.from_plane_coords(at + e, W_YT), W_YT), W_YT)
-            dn = planes.to_plane_coords(planes.shear(
+            dn = planes.project_chart(planes.shear(
                 q, planes.from_plane_coords(at - e, W_YT), W_YT), W_YT)
             j[:, k] = (up - dn) / (2 * h)
         jac_err = max(jac_err, abs(np.linalg.det(j) - 1))

@@ -98,15 +98,6 @@ def test_carleson_monotone_in_epsilon():
         assert all(ks[i] >= ks[i + 1] - 1e-15 for i in range(len(ks) - 1))
 
 
-def test_beta_cache_thread_invariance(plane_tree):
-    tree, _, _ = plane_tree
-    seq = cubes.cube_beta_cache(tree, threads=1)
-    par = cubes.cube_beta_cache(tree, threads=4)
-    assert sorted(seq) == sorted(par)
-    for cid in seq:
-        assert abs(seq[cid].beta - par[cid].beta) <= 1e-12
-
-
 def test_wgl_estimate_zero_for_plane(plane_tree):
     _, pts, masses = plane_tree
     for eps in (0.01, 0.1):

@@ -175,9 +175,10 @@ def test_ball_projection_identity():
     pts = graphs.all_graph_points(g).reshape(-1, 3)
     nodes = g.nodes()
     # the chart projection inverts the graph lift exactly
-    assert np.abs(graphs.chart_projection(pts) - nodes).max() <= 1e-12
+    w_yt = planes.subgroup_y_t()
+    assert np.abs(planes.project_chart(pts, w_yt) - nodes).max() <= 1e-12
     center = pts[len(pts) // 2]
-    w0 = graphs.chart_projection(center)
+    w0 = planes.project_chart(center, w_yt)
     s = 0.5
     lift_of = dict(zip(map(tuple, np.round(nodes, 12)), pts))
     proj_side = {tuple(w) for w, p in zip(np.round(nodes, 12), pts)

@@ -174,7 +174,7 @@ def test_pipeline_two_patch_union():
                              * max(result.coding.bits_per_generation, 1) + 1)
     # sample-level separation: kept samples in one piece never share a fiber
     for rep in result.piece_reports:
-        proj = partition.project_chart(tree.points[rep.indices], W_YT)
+        proj = planes.project_chart(tree.points[rep.indices], W_YT)
         assert len(np.unique(np.round(proj, 9), axis=0)) == len(proj)
 
 

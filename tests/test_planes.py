@@ -21,6 +21,23 @@ def test_split_recomposes_everywhere(x, y, t, theta):
     assert abs(pv[2]) <= 1e-12 and abs(pv[:2] @ sub.direction) <= 1e-9
 
 
+@given(coord, coord, angle)
+def test_project_chart_inverts_plane_coords(a, t, theta):
+    sub = planes.VerticalSubgroup(theta)
+    at = np.array([a, t])
+    back = planes.project_chart(planes.from_plane_coords(at, sub), sub)
+    assert np.abs(back - at).max() <= 1e-12
+
+
+@given(coord, coord, coord, angle)
+def test_project_chart_factors_through_project_w(x, y, t, theta):
+    sub = planes.VerticalSubgroup(theta)
+    p = core.as_point(x, y, t)
+    direct = planes.project_chart(p, sub)
+    via_w = planes.project_chart(planes.project_w(p, sub), sub)
+    assert np.abs(direct - via_w).max() <= 1e-12
+
+
 def brute_dist_to_plane(p, plane, v_range=3.0, nv=241, nt=2401):
     """Oracle: minimize d(p, q) over a dense grid of plane points."""
     sub = plane.subgroup
@@ -158,7 +175,7 @@ def test_shear_unit_jacobian():
 
         def chart_shear(ab):
             w = planes.from_plane_coords(ab, W_YT)
-            return planes.to_plane_coords(planes.shear(p, w, W_YT), W_YT)
+            return planes.project_chart(planes.shear(p, w, W_YT), W_YT)
 
         j = np.empty((2, 2))
         for k in range(2):
