@@ -142,9 +142,9 @@ def cmd_cubes(args, params):
     _write_json(os.path.join(args.out, "cubes_summary.json"),
                 {"inner_ball_constant": inner_c,
                  "levels": [tree.j_min, tree.j_max],
-                 "cube_count": len(tree.cubes),
+                 "cube_count": len(tree),
                  "sup_K": dict(zip(map(str, report.epsilons), report.sup_k))})
-    print(f"cubes: {len(tree.cubes)} cubes, sup K = {report.sup_k}")
+    print(f"cubes: {len(tree)} cubes, sup K = {report.sup_k}")
     return 0
 
 
@@ -203,7 +203,7 @@ def cmd_partition(args, params):
     tree = cubes.build_cubes(ps.points, ps.masses,
                              j_min=args.scales[0], j_max=args.scales[1])
     cache = cubes.cube_beta_cache(tree)
-    root = max(tree.roots(), key=lambda cid: tree.cubes[cid].mass)
+    root = max(tree.roots(), key=lambda cid: tree.mass[cid])
     result = partition.graph_piece_partition(
         tree, root, cache,
         b=float(params.get("b", 0.4)), eps=float(params.get("eps", 0.05)))
@@ -296,7 +296,7 @@ def cmd_verify(args, params):
         checks["cube_invariants"] = True
     except AssertionError:
         checks["cube_invariants"] = False
-    level_mass = [sum(tree.cubes[c].mass for c in tree.by_level[j])
+    level_mass = [sum(tree.mass[tree.level == j].tolist())
                   for j in range(tree.j_min, tree.j_max + 1)]
     total = ps.masses[::3].sum()
     checks["mass_conservation"] = bool(

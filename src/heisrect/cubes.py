@@ -12,7 +12,7 @@ refinement, and stopping-time (corona) partitions.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,43 +20,55 @@ from . import beta as beta_mod
 from . import core, graphs
 
 
-@dataclass
-class Cube:
-    id: int
-    level: int
-    center_index: int
-    sample_indices: np.ndarray
-    mass: float
-    parent: int = None
-    children: list = field(default_factory=list)
-
-
 class CubeTree:
-    def __init__(self, points, masses, cubes, by_level, j_min, j_max):
+    """Nested cubes stored as flat arrays.
+
+    Cube ids run level by level from j_max down, by ascending center
+    index within a level.  Per cube id: level, center_index, parent (-1
+    at the roots) and mass.  label[j][s] is the id of the level-j cube
+    holding sample s; these arrays are the only record of membership.
+    """
+
+    def __init__(self, points, masses, label, level, center_index, parent,
+                 mass, j_min, j_max):
         self.points = points
         self.masses = masses
-        self.cubes = cubes          # id -> Cube
-        self.by_level = by_level    # level -> [ids]
+        self.label = label
+        self.level = level
+        self.center_index = center_index
+        self.parent = parent
+        self.mass = mass
         self.j_min = j_min
         self.j_max = j_max
 
-    def center(self, cube_id):
-        return self.points[self.cubes[cube_id].center_index]
+    def __len__(self):
+        return len(self.level)
 
-    def side(self, cube_id):
-        return 2.0 ** self.cubes[cube_id].level
+    def at_level(self, j):
+        """Ids of the level-j cubes, ascending."""
+        return np.flatnonzero(self.level == j).tolist()
+
+    def samples(self, cube_id):
+        """Sample indices of a cube, ascending."""
+        return np.flatnonzero(self.label[self.level[cube_id]] == cube_id)
+
+    def children(self, cube_id):
+        return np.flatnonzero(self.parent == cube_id).tolist()
+
+    def center(self, cube_id):
+        return self.points[self.center_index[cube_id]]
 
     def roots(self):
-        return self.by_level[self.j_max]
+        return self.at_level(self.j_max)
 
     def descendants(self, cube_id):
         """cube_id and everything below it."""
         out = [cube_id]
-        stack = list(self.cubes[cube_id].children)
+        stack = self.children(cube_id)
         while stack:
             cid = stack.pop()
             out.append(cid)
-            stack.extend(self.cubes[cid].children)
+            stack.extend(self.children(cid))
         return out
 
 
@@ -79,18 +91,34 @@ def farthest_point_net(points, radius, candidates=None):
     return idx[np.array(sorted(chosen))]
 
 
-def median_nn_distance(points, block=512):
+def _row_blocks(points, others, block=512):
+    """Distance matrix from points to others, 512 rows at a time."""
+    for s in range(0, len(points), block):
+        yield s, core.dist(points[s:s + block, None, :], others[None, :, :])
+
+
+def _nearest(points, targets):
+    """Index of the nearest target per point, lowest index on ties."""
+    out = np.empty(len(points), dtype=int)
+    for s, d in _row_blocks(points, targets):
+        out[s:s + len(d)] = np.argmin(d, axis=1)
+    return out
+
+
+def _diameter(points):
+    return max(float(d.max()) for _, d in _row_blocks(points, points))
+
+
+def median_nn_distance(points):
     """Median nearest-neighbour distance in the group metric."""
     pts = np.asarray(points, float)
     n = len(pts)
     if n < 2:
         return 0.0
     nn = np.full(n, np.inf)
-    for s in range(0, n, block):
-        chunk = pts[s:s + block]
-        d = core.dist(chunk[:, None, :], pts[None, :, :])
-        d[np.arange(len(chunk)), np.arange(s, s + len(chunk))] = np.inf
-        nn[s:s + len(chunk)] = d.min(axis=1)
+    for s, d in _row_blocks(pts, pts):
+        d[np.arange(len(d)), np.arange(s, s + len(d))] = np.inf
+        nn[s:s + len(d)] = d.min(axis=1)
     return float(np.median(nn))
 
 
@@ -109,11 +137,7 @@ def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
         raise ValueError("empty sample set")
     if len(points) != len(masses):
         raise ValueError("one mass per point required")
-    diam = 0.0
-    if len(points) > 1:
-        for s in range(0, len(points), 512):
-            d = core.dist(points[s:s + 512, None, :], points[None, :, :])
-            diam = max(diam, float(d.max()))
+    diam = _diameter(points)
     if j_max is None:
         j_max = max(0, math.ceil(math.log2(diam)) + 2) if diam > 0 else 0
     elif 2.0 ** j_max < diam:
@@ -129,99 +153,63 @@ def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
         nets[j] = farthest_point_net(points, 2.0 ** (j - 2),
                                      candidates=nets[j - 1])
 
-    # nearest finest center per sample (ties: lowest center index)
-    finest = nets[j_min]
-    d = core.dist(points[:, None, :], points[finest][None, :, :])
-    assign = finest[np.argmin(d, axis=1)]
-
-    # center ancestry: nearest coarser net point, lowest index on ties
-    parent_center = {}
+    # key[j][s]: center of the level-j cube holding sample s.  A sample
+    # takes its nearest finest center, a center its nearest coarser net
+    # point (lowest index on ties); nets are sorted, so searchsorted
+    # finds each center's row
+    key = {j_min: nets[j_min][_nearest(points, points[nets[j_min]])]}
     for j in range(j_min, j_max):
-        up = nets[j + 1]
-        d = core.dist(points[nets[j]][:, None, :], points[up][None, :, :])
-        parent_center[j] = dict(zip(nets[j].tolist(),
-                                    up[np.argmin(d, axis=1)].tolist()))
+        up = nets[j + 1][_nearest(points[nets[j]], points[nets[j + 1]])]
+        key[j + 1] = up[np.searchsorted(nets[j], key[j])]
 
-    # chain each finest center upward through the net hierarchy
-    chain = {j_min: {int(c): int(c) for c in nets[j_min]}}
-    for j in range(j_min + 1, j_max + 1):
-        chain[j] = {c: parent_center[j - 1][chain[j - 1][c]]
-                    for c in chain[j_min]}
-
-    cubes = {}
-    by_level = {}
-    next_id = 0
-    key_to_id = {}
+    label, level, center_index, parent, mass = {}, [], [], [], []
     for j in range(j_max, j_min - 1, -1):
-        groups = {}
-        for s, c in enumerate(assign):
-            groups.setdefault(chain[j][int(c)], []).append(s)
-        by_level[j] = []
-        for center in sorted(groups):
-            sample_idx = np.array(groups[center], dtype=int)
-            cube = Cube(next_id, j, int(center), sample_idx,
-                        float(masses[sample_idx].sum()))
-            if j < j_max:
-                pid = key_to_id[(j + 1, chain[j + 1][int(center)])]
-                cube.parent = pid
-                cubes[pid].children.append(cube.id)
-            cubes[cube.id] = cube
-            key_to_id[(j, int(center))] = cube.id
-            by_level[j].append(cube.id)
-            next_id += 1
-    return CubeTree(points, masses, cubes, by_level, j_min, j_max)
+        centers, first, inv = np.unique(key[j], return_index=True,
+                                        return_inverse=True)
+        label[j] = len(level) + inv
+        level += [j] * len(centers)
+        center_index += centers.tolist()
+        parent += (label[j + 1][first].tolist() if j < j_max
+                   else [-1] * len(centers))
+        # per cube, masses[samples].sum() over ascending samples; a
+        # bincount with weights would round differently
+        members = np.split(np.argsort(inv, kind="stable"),
+                           np.cumsum(np.bincount(inv))[:-1])
+        mass += [float(masses[m].sum()) for m in members]
+    return CubeTree(points, masses, label, np.array(level),
+                    np.array(center_index), np.array(parent),
+                    np.array(mass), j_min, j_max)
 
 
 def check_tree_invariants(tree: CubeTree):
-    """Exact nesting, partition, diameter and inner-ball checks.
+    """Exact partition, nesting, diameter and inner-ball checks.
 
     Returns the measured inner-ball constant c (distance from each
     center to the nearest outside sample, in units of 2^j, minimized
     over cubes).
     """
-    n = len(tree.points)
     inner_c = np.inf
     for j in range(tree.j_min, tree.j_max + 1):
-        seen = np.zeros(n, dtype=int)
-        for cid in tree.by_level[j]:
-            cube = tree.cubes[cid]
-            seen[cube.sample_indices] += 1
-            pts = tree.points[cube.sample_indices]
-            if len(pts) > 1:
-                d = core.dist(pts[:, None, :], pts[None, :, :])
-                if d.max() > 2.0 ** j:
-                    raise AssertionError(f"diameter bound violated at level {j}")
-            if cube.parent is not None:
-                parent = tree.cubes[cube.parent]
-                if not set(cube.sample_indices.tolist()) <= set(
-                        parent.sample_indices.tolist()):
-                    raise AssertionError("nesting violated")
-            outside = np.setdiff1d(np.arange(n), cube.sample_indices)
-            if len(outside) > 0:
-                gap = core.dist(tree.points[outside], tree.center(cid)).min()
-                inner_c = min(inner_c, gap / 2.0 ** j)
-        if not np.all(seen == 1):
+        lab = tree.label[j]
+        ids = tree.at_level(j)
+        if not np.array_equal(np.unique(lab), ids):
             raise AssertionError(f"level {j} is not an exact partition")
+        up = tree.label[j + 1] if j < tree.j_max else -1
+        if np.any(tree.parent[lab] != up):
+            raise AssertionError(f"nesting violated at level {j}")
+        for cid in ids:
+            inside = lab == cid
+            if _diameter(tree.points[inside]) > 2.0 ** j:
+                raise AssertionError(f"diameter bound violated at level {j}")
+            if not inside.all():
+                gap = core.dist(tree.points[~inside], tree.center(cid)).min()
+                inner_c = min(inner_c, gap / 2.0 ** j)
     return float(inner_c)
 
 
 def containing_cube(tree: CubeTree, sample, level):
-    """The level-j cube holding a sample, walking down from the roots."""
-    cid = None
-    for root in tree.roots():
-        if sample in tree.cubes[root].sample_indices:
-            cid = root
-            break
-    if cid is None:
-        raise KeyError("sample not covered by any root")
-    while tree.cubes[cid].level > level:
-        for ch in tree.cubes[cid].children:
-            if sample in tree.cubes[ch].sample_indices:
-                cid = ch
-                break
-        else:
-            raise KeyError("children do not cover the sample")
-    return cid
+    """The level-j cube holding a sample."""
+    return int(tree.label[level][sample])
 
 
 def sibling_pair(tree: CubeTree, i1, i2):
@@ -241,8 +229,8 @@ def cube_beta_cache(tree: CubeTree, multiplier=4.0):
     """Flatness record of B(z_Q, multiplier * 2^j) for every cube, by id."""
     return {cid: beta_mod.beta_vertical(
                 tree.points, beta_mod.Ball(tree.center(cid),
-                                           multiplier * 2.0 ** cube.level))
-            for cid, cube in sorted(tree.cubes.items())}
+                                           multiplier * 2.0 ** j))
+            for cid, j in enumerate(tree.level.tolist())}
 
 
 def corona_ball_multiplier(b_inclusion):
@@ -270,14 +258,14 @@ def carleson_sum(tree: CubeTree, beta_of, epsilons,
     missing entries raise.
     """
     epsilons = sorted(float(e) for e in epsilons)
+    mass = tree.mass.tolist()
     per_root = {}
     for root in tree.roots():
         ids = tree.descendants(root)
-        root_mass = tree.cubes[root].mass
+        root_mass = mass[root]
         ks = []
         for eps in epsilons:
-            total = sum(tree.cubes[cid].mass for cid in ids
-                        if beta_of[cid].beta >= eps)
+            total = sum(mass[cid] for cid in ids if beta_of[cid].beta >= eps)
             ks.append(total / root_mass if root_mass > 0 else 0.0)
         per_root[root] = ks
     sup_k = [max(per_root[r][i] for r in per_root)
@@ -294,8 +282,8 @@ def carleson_with_integral(tree: CubeTree, beta_of, epsilons,
     formulations on identical data.
     """
     report = carleson_sum(tree, beta_of, epsilons, ball_multiplier)
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
-    radius = ball_multiplier * 2.0 ** tree.cubes[root].level
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
+    radius = ball_multiplier * 2.0 ** tree.j_max
     report.integral_estimate = wgl_integral_estimate(
         tree.points, tree.masses, report.epsilons[0], tree.center(root),
         radius, sample_stride=sample_stride)
@@ -475,21 +463,22 @@ def corona_partition(tree: CubeTree, root_id, membership):
     scope = tree.descendants(root_id)
     member = {cid: bool(membership(cid)) if callable(membership)
               else bool(membership[cid]) for cid in scope}
+    level, parent = tree.level.tolist(), tree.parent.tolist()
     assigned = set()
     trees = []
-    by_depth = sorted(scope, key=lambda c: (-tree.cubes[c].level, c))
+    by_depth = sorted(scope, key=lambda c: (-level[c], c))
     while True:
         maximal = []
         for cid in by_depth:
             if not member[cid] or cid in assigned:
                 continue
-            p = tree.cubes[cid].parent
+            p = parent[cid]
             covered = False
-            while p is not None and p in member:
+            while p in member:
                 if member[p] and p not in assigned:
                     covered = True
                     break
-                p = tree.cubes[p].parent
+                p = parent[p]
             if not covered:
                 maximal.append(cid)
         if not maximal:
@@ -503,20 +492,20 @@ def corona_partition(tree: CubeTree, root_id, membership):
                 cid = queue.pop(0)
                 members.append(cid)
                 assigned.add(cid)
-                children = tree.cubes[cid].children
+                children = tree.children(cid)
                 if children and all(member.get(ch, False) for ch in children):
-                    queue.extend(sorted(children))
+                    queue.extend(children)
                 else:
                     stop.append(cid)
             alias = root
             if root != root_id:
-                parent = tree.cubes[root].parent
-                if parent is not None and not member.get(parent, True):
-                    alias = parent
+                up = parent[root]
+                if not member.get(up, True):
+                    alias = up
                 else:
-                    sibs = [s for s in tree.cubes[parent].children
+                    sibs = [s for s in tree.children(up)
                             if s != root and not member.get(s, True)]
-                    alias = min(sibs) if sibs else parent
+                    alias = min(sibs) if sibs else up
             trees.append(CoronaTree(root, members, stop, alias))
     return trees
 
@@ -535,13 +524,13 @@ def check_corona_axioms(tree: CubeTree, coronas, membership):
             # convexity: everything between a member and the root is in
             walker = cid
             while walker != ct.root:
-                walker = tree.cubes[walker].parent
-                if walker is None:
+                walker = int(tree.parent[walker])
+                if walker < 0:
                     raise AssertionError("member not below its root")
                 if walker not in mset:
                     raise AssertionError("tree not convex")
             # all-or-none children
-            children = tree.cubes[cid].children
+            children = tree.children(cid)
             inside = [ch for ch in children if ch in mset]
             if inside and len(inside) != len(children):
                 raise AssertionError("children split across the tree boundary")
@@ -561,14 +550,12 @@ def alias_multiplicity(coronas):
 # serialization
 
 def save_tree(tree: CubeTree, path):
-    nodes = []
-    for cid in sorted(tree.cubes):
-        cube = tree.cubes[cid]
-        nodes.append({"id": cube.id, "level": cube.level,
-                      "center_index": cube.center_index,
-                      "parent": cube.parent,
-                      "mass": cube.mass,
-                      "samples": cube.sample_indices.tolist()})
+    rows = zip(tree.level.tolist(), tree.center_index.tolist(),
+               tree.parent.tolist(), tree.mass.tolist())
+    nodes = [{"id": cid, "level": j, "center_index": c,
+              "parent": p if p >= 0 else None, "mass": m,
+              "samples": tree.samples(cid).tolist()}
+             for cid, (j, c, p, m) in enumerate(rows)]
     with open(path, "w") as fh:
         json.dump({"j_min": tree.j_min, "j_max": tree.j_max, "nodes": nodes},
                   fh, indent=2, sort_keys=True)

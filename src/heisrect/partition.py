@@ -94,14 +94,15 @@ class Classification:
     cell: float
 
 
-def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig, beta_of,
-                   ball_multiplier=4.0, cell=None) -> Classification:
+def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig,
+                   flat_violators, counts, cell=None) -> Classification:
     """Split the cubes below a root into good and bad families.
 
     Area violators are the maximal cubes whose projected area falls
-    below (b/2) times their mass; flatness violators are all cubes with
-    cached flatness above eps.  Samples are removed when they lie in an
-    area violator or meet at least cover_cutoff violator balls.
+    below (b/2) times their mass; flat_violators (flatness_violators at
+    cfg.eps) and their cover counts are computed by the caller.  Samples
+    are removed when they lie in an area violator or meet at least
+    cover_cutoff violator balls.
     """
     if cell is None:
         cell = 2.0 * median_projected_spacing(tree.points, cfg.subgroup)
@@ -109,19 +110,16 @@ def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig, beta_of,
     stack = [root_id]
     while stack:
         cid = stack.pop()
-        cube = tree.cubes[cid]
         area = projection_area(tree.points, cfg.subgroup,
-                               mask=cube.sample_indices, cell=cell)
-        if area < 0.5 * cfg.b * cube.mass:
+                               mask=tree.samples(cid), cell=cell)
+        if area < 0.5 * cfg.b * tree.mass[cid]:
             area_violators.append(cid)
         else:
-            stack.extend(cube.children)
-    flat_violators = flatness_violators(tree, root_id, beta_of, cfg.eps)
+            stack.extend(tree.children(cid))
 
     removed_area = np.unique(np.concatenate(
-        [tree.cubes[cid].sample_indices for cid in area_violators]
+        [tree.samples(cid) for cid in area_violators]
         or [np.array([], dtype=int)]))
-    counts = cover_counts(tree, flat_violators, ball_multiplier)
     removed_cover = np.nonzero(counts >= cfg.cover_cutoff)[0]
     return Classification(sorted(area_violators), sorted(flat_violators),
                           removed_area, removed_cover, counts, cell)
@@ -136,26 +134,24 @@ def cover_counts(tree: CubeTree, flat_violators, ball_multiplier=4.0):
     """Per sample, how many violator balls B_Q contain it."""
     counts = np.zeros(len(tree.points), dtype=int)
     for cid in flat_violators:
-        cube = tree.cubes[cid]
-        ball_r = ball_multiplier * 2.0 ** cube.level
+        ball_r = ball_multiplier * 2.0 ** int(tree.level[cid])
         counts[core.dist(tree.points, tree.center(cid)) <= ball_r] += 1
     return counts
 
 
-def choose_cover_cutoff(tree: CubeTree, root_id, flat_violators, area_to_mass,
-                        b, ball_multiplier=4.0):
+def choose_cover_cutoff(tree: CubeTree, root_id, counts, area_to_mass, b):
     """Smallest cutoff N whose removals project to area below (b/2) mass.
 
-    Removing the samples under >= N violator balls must cost at most
-    b/(2C) of the root mass (C the calibrated area-per-mass constant);
-    the minimal such N is read off the cover-count histogram.
+    Removing the samples under >= N violator balls (counts from
+    cover_counts) must cost at most b/(2C) of the root mass (C the
+    calibrated area-per-mass constant); the minimal such N is read off
+    the cover-count histogram.
     """
-    root_mass = tree.cubes[root_id].mass
+    root_mass = float(tree.mass[root_id])
     if root_mass <= 0:
         return 1
-    counts = cover_counts(tree, flat_violators, ball_multiplier)
     target = b / (2.0 * max(area_to_mass, 1e-12)) * root_mass
-    idx = tree.cubes[root_id].sample_indices
+    idx = tree.samples(root_id)
     c_root = counts[idx]
     m_root = tree.masses[idx]
     for n in range(1, int(c_root.max()) + 2):
@@ -181,7 +177,8 @@ def coding_partition(tree: CubeTree, root_id, flat_violators, removed,
     Every cube starts from its parent's string.  At each generation,
     every flatness violator Q is paired with each same-generation cube
     inside its ball B_Q (processing order: level descending, violator
-    id ascending, partner id ascending):
+    id ascending, partner id ascending); one distance call per violator
+    measures every cube's farthest sample from the center of Q:
 
     * equal lengths and equal strings: Q gains "0", the partner "1";
     * unequal lengths with the shorter a prefix of the longer: the
@@ -195,27 +192,26 @@ def coding_partition(tree: CubeTree, root_id, flat_violators, removed,
     string map.
     """
     violators = set(flat_violators)
+    parent = tree.parent.tolist()
     sigma = {root_id: ""}
     bits_added = {}
     changes = {root_id: 0}
-    root_level = tree.cubes[root_id].level
-    scope = set(tree.descendants(root_id))
-    for level in range(root_level - 1, tree.j_min - 1, -1):
-        gen = sorted(cid for cid in tree.by_level[level] if cid in scope)
+    scope = tree.samples(root_id)
+    pts = tree.points[scope]
+    for level in range(int(tree.level[root_id]) - 1, tree.j_min - 1, -1):
+        gen, local = np.unique(tree.label[level][scope], return_inverse=True)
+        gen = gen.tolist()
         for cid in gen:
-            sigma[cid] = sigma[tree.cubes[cid].parent]
+            sigma[cid] = sigma[parent[cid]]
             bits_added[cid] = 0
-        gen_points = {cid: tree.points[tree.cubes[cid].sample_indices]
-                      for cid in gen}
+        ball_r = ball_multiplier * 2.0 ** level
         for q in gen:
             if q not in violators:
                 continue
-            ball_r = ball_multiplier * 2.0 ** level
-            zq = tree.center(q)
-            for q1 in gen:
-                if q1 == q:
-                    continue
-                if core.dist(gen_points[q1], zq).max() > ball_r:
+            reach = np.zeros(len(gen))
+            np.maximum.at(reach, local, core.dist(pts, tree.center(q)))
+            for q1, r in zip(gen, reach.tolist()):
+                if q1 == q or r > ball_r:
                     continue
                 s_q, s_q1 = sigma[q], sigma[q1]
                 if len(s_q) == len(s_q1):
@@ -235,19 +231,17 @@ def coding_partition(tree: CubeTree, root_id, flat_violators, removed,
                         sigma[q] = s_q + bit
                         bits_added[q] += 1
         for cid in gen:
-            parent = tree.cubes[cid].parent
-            changes[cid] = changes[parent] + (sigma[cid] != sigma[parent])
+            up = parent[cid]
+            changes[cid] = changes[up] + (sigma[cid] != sigma[up])
     removed = set(np.asarray(removed, dtype=int).tolist())
     sample_sigma = {}
     sample_changes = {}
-    for cid in tree.by_level[tree.j_min]:
-        if cid not in scope:
+    finest = tree.label[tree.j_min][scope].tolist()
+    for s, cid in zip(scope.tolist(), finest):
+        if s in removed:
             continue
-        for s in tree.cubes[cid].sample_indices:
-            if int(s) in removed:
-                continue
-            sample_sigma[int(s)] = sigma[cid]
-            sample_changes[int(s)] = changes.get(cid, 0)
+        sample_sigma[s] = sigma[cid]
+        sample_changes[s] = changes.get(cid, 0)
     pieces = {}
     for s, code in sample_sigma.items():
         pieces.setdefault(code, []).append(s)
@@ -307,30 +301,31 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
     most b times the root mass.
     """
     subgroup = subgroup or planes.subgroup_y_t()
+    root_samples = tree.samples(root_id)
+    root_mass = float(tree.mass[root_id])
     flat = flatness_violators(tree, root_id, beta_of, eps)
+    counts = cover_counts(tree, flat, ball_multiplier)
     if cover_cutoff is None:
         if area_to_mass is None:
-            root = tree.cubes[root_id]
             root_area = projection_area(tree.points, subgroup,
-                                        mask=root.sample_indices)
-            area_to_mass = max(root_area / root.mass, 1e-12)
-        cover_cutoff = choose_cover_cutoff(tree, root_id, flat, area_to_mass,
-                                           b, ball_multiplier)
+                                        mask=root_samples)
+            area_to_mass = max(root_area / root_mass, 1e-12)
+        cover_cutoff = choose_cover_cutoff(tree, root_id, counts,
+                                           area_to_mass, b)
     cfg = GoodnessConfig(b, eps, cover_cutoff, subgroup)
-    cls = classify_cubes(tree, root_id, cfg, beta_of, ball_multiplier)
+    cls = classify_cubes(tree, root_id, cfg, flat, counts)
     removed = np.union1d(cls.removed_area, cls.removed_cover)
     coding = coding_partition(tree, root_id, cls.flat_violators, removed,
                               ball_multiplier)
     reports = verify_pieces(tree.points, coding.pieces)
-    root = tree.cubes[root_id]
     root_area = projection_area(tree.points, cfg.subgroup,
-                                mask=root.sample_indices, cell=cls.cell)
+                                mask=root_samples, cell=cls.cell)
     covered = np.concatenate([r.indices for r in reports]
                              or [np.array([], dtype=int)])
-    uncovered = np.setdiff1d(root.sample_indices, covered)
+    uncovered = np.setdiff1d(root_samples, covered)
     uncovered_area = 0.0
     if len(uncovered) > 0:
         uncovered_area = projection_area(tree.points, cfg.subgroup,
                                          mask=uncovered, cell=cls.cell)
-    return PipelineResult(cls, coding, reports, uncovered_area, root.mass,
+    return PipelineResult(cls, coding, reports, uncovered_area, root_mass,
                           root_area, cover_cutoff)

@@ -215,7 +215,7 @@ def test_criterion_07_cube_suite(plane_tree_acc):
 
     total = masses.sum()
     for j in range(tree.j_min, tree.j_max + 1):
-        level = sum(tree.cubes[c].mass for c in tree.by_level[j])
+        level = sum(tree.mass[c] for c in tree.at_level(j))
         assert abs(level - total) <= 1e-12 * total
 
     rng = np.random.default_rng(77)
@@ -231,9 +231,9 @@ def test_criterion_07_cube_suite(plane_tree_acc):
             continue
         j, c1, c2 = cubes.sibling_pair(tree, i1, i2)
         assert c1 != c2
-        assert core.dist(tree.points[tree.cubes[c2].sample_indices],
+        assert core.dist(tree.points[tree.samples(c2)],
                          tree.center(c1)).max() <= 4 * 2.0 ** j
-        assert core.dist(tree.points[tree.cubes[c1].sample_indices],
+        assert core.dist(tree.points[tree.samples(c1)],
                          tree.center(c2)).max() <= 4 * 2.0 ** j
         checked += 1
     assert checked == 1000
@@ -297,8 +297,8 @@ def test_criterion_10_partition_pipeline():
     ps = cli.build_scenario("two_patch_union", 0, None)[1]
     tree = cubes.build_cubes(ps.points, ps.masses, j_min=-3, j_max=5)
     cache = cubes.cube_beta_cache(tree)
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
-    assert len(tree.cubes[root].sample_indices) > 0.9 * len(ps.points)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
+    assert len(tree.samples(root)) > 0.9 * len(ps.points)
     b = 0.4
     result = partition.graph_piece_partition(tree, root, cache, b=b, eps=0.05)
     assert len(result.piece_reports) >= 2
@@ -316,7 +316,7 @@ def test_criterion_10_partition_pipeline():
     ps2 = graphs.point_set(g)
     tr2 = cubes.build_cubes(ps2.points, ps2.masses, j_min=-3, j_max=2)
     ca2 = cubes.cube_beta_cache(tr2)
-    root2 = max(tr2.roots(), key=lambda c: tr2.cubes[c].mass)
+    root2 = max(tr2.roots(), key=lambda c: tr2.mass[c])
     result2 = partition.graph_piece_partition(tr2, root2, ca2, b=0.2, eps=0.5)
     assert result2.classification.flat_violators == []
     assert len(result2.piece_reports) == 1

@@ -141,3 +141,32 @@ def test_wgl_subcommand(tmp_path):
         lines = fh.read().strip().splitlines()
     assert lines[0] == "epsilon,R,estimate,normalized"
     assert float(lines[1].split(",")[2]) == 0.0
+
+
+GOLDEN = {
+    ("cubes", "perturbed", '{"n": 15}', ()): {
+        "cubes.json": "dfd7ffc2754e38c5eef4ac69a90802b2"
+                      "dee134d4a859e13206350dde4ea76cd6",
+        "carleson.csv": "b02238a5d104738f247b97bf2b269826"
+                        "71d75c634bfde3f05016c78de54c2ae2",
+    },
+    ("partition", "two_patch_union", '{"ny": 41, "nt": 5}', ("--scales=-1:5",)): {
+        "pieces.csv": "eb1d75731acd76c367abe777e6e15262"
+                      "e81ce289361a5af97ca4c98bde94ed27",
+        "partition_summary.json": "a9f80df82fd8d1501f74cf772f7a5ab7"
+                                  "3cf8e25a0e823b6a029fac8183d4e68c",
+    },
+}
+
+
+def test_golden_artifact_digests(tmp_path):
+    """Pinned artifact bytes: refactors must not change any output."""
+    for (command, scenario, config, extra), want in GOLDEN.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(config)
+        out = tmp_path / command
+        rc = cli.main([command, "--scenario", scenario, "--config", str(cfg),
+                       "--out", str(out), *extra])
+        assert rc == 0
+        got = digest_dir(out)
+        assert {name: got[name] for name in want} == want

@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisrect import beta, burgers, core, cubes, graphs
 
@@ -24,10 +27,10 @@ def test_single_point_degenerates():
     tree = cubes.build_cubes(np.array([[1.0, 2.0, 3.0]]), np.array([2.0]),
                              j_min=-2, j_max=1)
     for j in range(-2, 2):
-        assert len(tree.by_level[j]) == 1
-        cube = tree.cubes[tree.by_level[j][0]]
-        assert cube.mass == 2.0
-        assert list(cube.sample_indices) == [0]
+        assert len(tree.at_level(j)) == 1
+        cid = tree.at_level(j)[0]
+        assert tree.mass[cid] == 2.0
+        assert list(tree.samples(cid)) == [0]
 
 
 def test_invariants_and_inner_ball(plane_tree):
@@ -36,11 +39,84 @@ def test_invariants_and_inner_ball(plane_tree):
     assert inner_c > 0
 
 
+
+def test_invariants_reject_foreign_label(plane_tree):
+    bad = copy.deepcopy(plane_tree[0])
+    bad.label[bad.j_min][0] = bad.roots()[0]
+    with pytest.raises(AssertionError, match="not an exact partition"):
+        cubes.check_tree_invariants(bad)
+
+
+def test_invariants_reject_wrong_parent(plane_tree):
+    bad = copy.deepcopy(plane_tree[0])
+    cid = bad.at_level(bad.j_min)[0]
+    bad.parent[cid] = next(c for c in bad.at_level(bad.j_min + 1)
+                           if c != bad.parent[cid])
+    with pytest.raises(AssertionError, match="nesting violated"):
+        cubes.check_tree_invariants(bad)
+
+
+def test_invariants_reject_far_sample(plane_tree):
+    tree = plane_tree[0]
+    bad = copy.deepcopy(tree)
+    # a sample that leaves no cube empty, moved with its whole ancestor
+    # chain into the finest cube farthest from it: only the diameter breaks
+    s = next(s for s in range(len(tree.points))
+             if len(tree.samples(tree.label[tree.j_min][s])) > 1)
+    finest = tree.at_level(tree.j_min)
+    far = max(finest, key=lambda c: float(core.dist(tree.center(c),
+                                                    tree.points[s])))
+    assert core.dist(tree.center(far), tree.points[s]) > 2.0 ** tree.j_min
+    for j in range(tree.j_min, tree.j_max + 1):
+        bad.label[j][s] = far
+        far = bad.parent[far]
+    with pytest.raises(AssertionError, match="diameter bound violated"):
+        cubes.check_tree_invariants(bad)
+
+
+@st.composite
+def small_clouds(draw):
+    """Up to 60 grid points in [-2, 2]^3, some rows exact duplicates."""
+    n = draw(st.integers(1, 60))
+    grid = st.integers(-16, 16)
+    pts = np.array(draw(st.lists(st.tuples(grid, grid, grid),
+                                 min_size=n, max_size=n)), float) / 8.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        pts[dst] = pts[src]
+    masses = np.array(draw(st.lists(st.floats(0.01, 10.0), min_size=n,
+                                    max_size=n)))
+    return pts, masses
+
+
+@settings(deadline=None)
+@given(small_clouds())
+def test_tree_properties_random_clouds(cloud):
+    pts, masses = cloud
+    tree = cubes.build_cubes(pts, masses)
+    cubes.check_tree_invariants(tree)
+    total = masses.sum()
+    for j in range(tree.j_min, tree.j_max + 1):
+        owners = [[] for _ in pts]
+        for cid in tree.at_level(j):
+            for s in tree.samples(cid):
+                owners[s].append(cid)
+        assert owners == [[cubes.containing_cube(tree, s, j)]
+                          for s in range(len(pts))]
+        assert abs(tree.mass[tree.level == j].sum() - total) <= 1e-12 * total
+    for cid in range(len(tree)):
+        assert tree.center_index[cid] in tree.samples(cid)
+        assert all(tree.parent[ch] == cid for ch in tree.children(cid))
+        if tree.parent[cid] >= 0:
+            assert cid in tree.children(tree.parent[cid])
+
+
 def test_mass_conservation(plane_tree):
     tree, _, masses = plane_tree
     total = masses.sum()
     for j in range(tree.j_min, tree.j_max + 1):
-        level = sum(tree.cubes[c].mass for c in tree.by_level[j])
+        level = sum(tree.mass[c] for c in tree.at_level(j))
         assert abs(level - total) <= 1e-12 * total
 
 
@@ -49,8 +125,8 @@ def test_three_regular_mass_scaling(plane_tree):
     # plane patches: cube masses scale like 2^(3j) within two-sided bounds
     ratios = []
     for j in range(tree.j_min + 1, tree.j_max):
-        masses_j = [tree.cubes[c].mass for c in tree.by_level[j]
-                    if len(tree.cubes[c].sample_indices) > 5]
+        masses_j = [tree.mass[c] for c in tree.at_level(j)
+                    if len(tree.samples(c)) > 5]
         if masses_j:
             ratios.append(np.median(masses_j) / 2.0 ** (3 * j))
     assert len(ratios) >= 2
@@ -72,9 +148,9 @@ def test_sibling_pairs(plane_tree):
         assert c1 != c2
         assert 2.0 ** j <= d < 2.0 ** (j + 1)
         # each cube sits inside the 4x ball of the other's center
-        assert core.dist(tree.points[tree.cubes[c2].sample_indices],
+        assert core.dist(tree.points[tree.samples(c2)],
                          tree.center(c1)).max() <= 4 * 2.0 ** j
-        assert core.dist(tree.points[tree.cubes[c1].sample_indices],
+        assert core.dist(tree.points[tree.samples(c1)],
                          tree.center(c2)).max() <= 4 * 2.0 ** j
         n_checked += 1
     assert n_checked > 50
@@ -128,7 +204,7 @@ def test_wgl_consistent_with_carleson():
     cache = cubes.cube_beta_cache(tree)
     eps = 0.05
     report = cubes.carleson_sum(tree, cache, [eps])
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     est = cubes.wgl_integral_estimate(ps.points, ps.masses, eps,
                                       tree.center(root), 4.0, n_shells=4)
     k = report.per_root[root][0]
@@ -137,7 +213,7 @@ def test_wgl_consistent_with_carleson():
         assert k <= 1e-9 or k >= 0  # nothing to compare at this threshold
     else:
         assert k > 0
-        assert est / (k * tree.cubes[root].mass) < 50
+        assert est / (k * tree.mass[root]) < 50
 
 
 def test_refine_predyadic_disjoint_unchanged():
@@ -185,7 +261,7 @@ def test_corona_all_members_single_tree(plane_tree):
     assert coronas[0].root == root
     assert coronas[0].root_alias == root
     leaves = [cid for cid in tree.descendants(root)
-              if not tree.cubes[cid].children]
+              if not tree.children(cid)]
     assert sorted(coronas[0].stop) == sorted(leaves)
     cubes.check_corona_axioms(tree, coronas, lambda cid: True)
 
@@ -194,10 +270,10 @@ def test_corona_level_threshold(plane_tree):
     tree, _, _ = plane_tree
     root = tree.roots()[0]
     j_star = tree.j_min + 2
-    member = lambda cid: tree.cubes[cid].level >= j_star
+    member = lambda cid: tree.level[cid] >= j_star
     coronas = cubes.corona_partition(tree, root, member)
     assert len(coronas) == 1
-    stops = {tree.cubes[cid].level for cid in coronas[0].stop}
+    stops = {tree.level[cid] for cid in coronas[0].stop}
     assert stops == {j_star}
     cubes.check_corona_axioms(tree, coronas, member)
 
@@ -205,7 +281,7 @@ def test_corona_level_threshold(plane_tree):
 def test_corona_checkerboard(plane_tree):
     tree, _, _ = plane_tree
     root = tree.roots()[0]
-    member = lambda cid: (tree.cubes[cid].level % 2 == 0)
+    member = lambda cid: (tree.level[cid] % 2 == 0)
     coronas = cubes.corona_partition(tree, root, member)
     cubes.check_corona_axioms(tree, coronas, member)
     claimed = {cid for ct in coronas for cid in ct.members}
@@ -213,12 +289,12 @@ def test_corona_checkerboard(plane_tree):
     assert claimed == wanted
     # every root is maximal within the membership class
     for ct in coronas:
-        parent = tree.cubes[ct.root].parent
-        while parent is not None:
+        parent = tree.parent[ct.root]
+        while parent >= 0:
             assert not (member(parent) and parent not in claimed)
-            parent = tree.cubes[parent].parent
+            parent = tree.parent[parent]
     # a cube serves as alias only for its children or siblings
-    branching = max(len(c.children) for c in tree.cubes.values())
+    branching = max(len(tree.children(c)) for c in range(len(tree)))
     assert cubes.alias_multiplicity(coronas) <= 2 * branching - 1
 
 
@@ -249,7 +325,7 @@ def test_tree_serialization(tmp_path, plane_tree):
     with open(path) as fh:
         payload = json.load(fh)
     assert payload["j_min"] == tree.j_min
-    assert len(payload["nodes"]) == len(tree.cubes)
+    assert len(payload["nodes"]) == len(tree)
     cache = cubes.cube_beta_cache(tree)
     report = cubes.carleson_sum(tree, cache, [0.1])
     cpath = tmp_path / "carleson.csv"

@@ -74,35 +74,39 @@ def affine_tree():
 
 def test_classify_affine_no_flat_violators(affine_tree):
     tree, cache, _ = affine_tree
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     cfg = partition.GoodnessConfig(0.4, 0.05, 3, W_YT)
-    cls = partition.classify_cubes(tree, root, cfg, cache)
+    flat = partition.flatness_violators(tree, root, cache, cfg.eps)
+    cls = partition.classify_cubes(tree, root, cfg, flat,
+                                   partition.cover_counts(tree, flat))
     assert cls.flat_violators == []
     assert len(cls.removed_cover) == 0
 
 
 def test_classify_huge_b_degenerates(affine_tree):
     tree, cache, _ = affine_tree
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     cfg = partition.GoodnessConfig(1e9, 0.05, 3, W_YT)
-    cls = partition.classify_cubes(tree, root, cfg, cache)
+    flat = partition.flatness_violators(tree, root, cache, cfg.eps)
+    cls = partition.classify_cubes(tree, root, cfg, flat,
+                                   partition.cover_counts(tree, flat))
     assert cls.area_violators == [root]
-    assert set(cls.removed_area) == set(tree.cubes[root].sample_indices)
+    assert set(cls.removed_area) == set(tree.samples(root))
 
 
 def test_classify_mass_bound_links_to_carleson(affine_tree):
     tree, cache, _ = affine_tree
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     eps = 1e-12
     flat = [cid for cid in tree.descendants(root) if cache[cid].beta > eps]
     report = cubes.carleson_sum(tree, cache, [eps])
-    bad_mass = sum(tree.cubes[c].mass for c in flat)
-    assert bad_mass <= report.per_root[root][0] * tree.cubes[root].mass + 1e-9
+    bad_mass = sum(tree.mass[c] for c in flat)
+    assert bad_mass <= report.per_root[root][0] * tree.mass[root] + 1e-9
 
 
 def test_coding_no_violators_single_piece(affine_tree):
     tree, cache, _ = affine_tree
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     coding = partition.coding_partition(tree, root, [], [])
     assert list(coding.pieces) == [""]
     assert coding.bits_per_generation == 0
@@ -115,8 +119,8 @@ def test_coding_case_chase_hand_example():
     tree = cubes.build_cubes(pts, masses, j_min=-5, j_max=0)
     root = tree.roots()[0]
     level = max(j for j in range(tree.j_min, tree.j_max)
-                if len(tree.by_level[j]) == 2)
-    gen = tree.by_level[level]
+                if len(tree.at_level(j)) == 2)
+    gen = tree.at_level(level)
     assert len(gen) == 2
     coding = partition.coding_partition(tree, root, gen, [])
     s = sorted(coding.cube_sigma[cid] for cid in gen)
@@ -132,7 +136,7 @@ def test_coding_separation_property():
     ps = cli.build_scenario("two_patch_union", 0, SMALL_UNION)[1]
     tree = cubes.build_cubes(ps.points, ps.masses, j_min=-2, j_max=5)
     cache = cubes.cube_beta_cache(tree)
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     eps = 0.05
     result = partition.graph_piece_partition(tree, root, cache, b=0.4,
                                              eps=eps)
@@ -140,11 +144,10 @@ def test_coding_separation_property():
     mult = 4.0
     scope = set(tree.descendants(root))
     for q in result.classification.flat_violators:
-        cube = tree.cubes[q]
-        level = cube.level
-        same = [c for c in tree.by_level[level]
+        level = tree.level[q]
+        same = [c for c in tree.at_level(level)
                 if c != q and c in scope and core.dist(
-                    pts[tree.cubes[c].sample_indices],
+                    pts[tree.samples(c)],
                     tree.center(q)).max() <= mult * 2.0 ** level]
         for q1 in same:
             s_q = result.coding.cube_sigma[q]
@@ -156,7 +159,7 @@ def test_pipeline_two_patch_union():
     ps = cli.build_scenario("two_patch_union", 0, SMALL_UNION)[1]
     tree = cubes.build_cubes(ps.points, ps.masses, j_min=-2, j_max=5)
     cache = cubes.cube_beta_cache(tree)
-    root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+    root = max(tree.roots(), key=lambda c: tree.mass[c])
     b = 0.4
     result = partition.graph_piece_partition(tree, root, cache, b=b, eps=0.05)
     assert len(result.piece_reports) >= 2
@@ -184,7 +187,7 @@ def test_pipeline_deterministic():
     for _ in range(2):
         tree = cubes.build_cubes(ps.points, ps.masses, j_min=-1, j_max=5)
         cache = cubes.cube_beta_cache(tree)
-        root = max(tree.roots(), key=lambda c: tree.cubes[c].mass)
+        root = max(tree.roots(), key=lambda c: tree.mass[c])
         res = partition.graph_piece_partition(tree, root, cache, b=0.4,
                                               eps=0.05)
         outs.append((sorted((code, tuple(idx))
