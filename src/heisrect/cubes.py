@@ -62,13 +62,17 @@ class CubeTree:
         return self.at_level(self.j_max)
 
     def descendants(self, cube_id):
-        """cube_id and everything below it."""
+        """cube_id and everything below it, in depth-first order."""
+        # one stable sort groups the children of every cube, ascending
+        order = np.argsort(self.parent, kind="stable")
+        start = np.searchsorted(self.parent[order], np.arange(len(self) + 1))
+        order, start = order.tolist(), start.tolist()
         out = [cube_id]
-        stack = self.children(cube_id)
+        stack = order[start[cube_id]:start[cube_id + 1]]
         while stack:
             cid = stack.pop()
             out.append(cid)
-            stack.extend(self.children(cid))
+            stack.extend(order[start[cid]:start[cid + 1]])
         return out
 
 
@@ -91,10 +95,10 @@ def farthest_point_net(points, radius, candidates=None):
     return idx[np.array(sorted(chosen))]
 
 
-def _row_blocks(points, others, block=512):
+def _row_blocks(points, others):
     """Distance matrix from points to others, 512 rows at a time."""
-    for s in range(0, len(points), block):
-        yield s, core.dist(points[s:s + block, None, :], others[None, :, :])
+    for s in range(0, len(points), 512):
+        yield s, core.dist(points[s:s + 512, None, :], others[None, :, :])
 
 
 def _nearest(points, targets):

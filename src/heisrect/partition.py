@@ -23,19 +23,18 @@ from .cubes import CubeTree
 class GoodnessConfig:
     """Thresholds for the good-cube predicate.
 
-    b: required projected-area fraction of cube mass, eps: flatness
-    threshold, cover_cutoff: number of high-flatness balls a sample may
-    meet before removal, subgroup: the projection direction.
+    b: required projected-area fraction of cube mass, cover_cutoff:
+    number of high-flatness balls a sample may meet before removal,
+    subgroup: the projection direction.
     """
 
     b: float
-    eps: float
     cover_cutoff: int
     subgroup: planes.VerticalSubgroup
 
     def __post_init__(self):
-        if self.b <= 0 or self.eps <= 0:
-            raise ValueError("b and eps must be positive")
+        if self.b <= 0:
+            raise ValueError("b must be positive")
         if self.cover_cutoff < 1:
             raise ValueError("cover cutoff must be at least 1")
 
@@ -99,8 +98,8 @@ def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig,
     """Split the cubes below a root into good and bad families.
 
     Area violators are the maximal cubes whose projected area falls
-    below (b/2) times their mass; flat_violators (flatness_violators at
-    cfg.eps) and their cover counts are computed by the caller.  Samples
+    below (b/2) times their mass; flat_violators (flatness_violators
+    output) and their cover counts are computed by the caller.  Samples
     are removed when they lie in an area violator or meet at least
     cover_cutoff violator balls.
     """
@@ -300,6 +299,8 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
     area-to-mass constant so the removed samples project to area at
     most b times the root mass.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     subgroup = subgroup or planes.subgroup_y_t()
     root_samples = tree.samples(root_id)
     root_mass = float(tree.mass[root_id])
@@ -312,7 +313,7 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
             area_to_mass = max(root_area / root_mass, 1e-12)
         cover_cutoff = choose_cover_cutoff(tree, root_id, counts,
                                            area_to_mass, b)
-    cfg = GoodnessConfig(b, eps, cover_cutoff, subgroup)
+    cfg = GoodnessConfig(b, cover_cutoff, subgroup)
     cls = classify_cubes(tree, root_id, cfg, flat, counts)
     removed = np.union1d(cls.removed_area, cls.removed_cover)
     coding = coding_partition(tree, root_id, cls.flat_violators, removed,

@@ -75,8 +75,8 @@ def affine_tree():
 def test_classify_affine_no_flat_violators(affine_tree):
     tree, cache, _ = affine_tree
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    cfg = partition.GoodnessConfig(0.4, 0.05, 3, W_YT)
-    flat = partition.flatness_violators(tree, root, cache, cfg.eps)
+    cfg = partition.GoodnessConfig(0.4, 3, W_YT)
+    flat = partition.flatness_violators(tree, root, cache, 0.05)
     cls = partition.classify_cubes(tree, root, cfg, flat,
                                    partition.cover_counts(tree, flat))
     assert cls.flat_violators == []
@@ -86,8 +86,8 @@ def test_classify_affine_no_flat_violators(affine_tree):
 def test_classify_huge_b_degenerates(affine_tree):
     tree, cache, _ = affine_tree
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    cfg = partition.GoodnessConfig(1e9, 0.05, 3, W_YT)
-    flat = partition.flatness_violators(tree, root, cache, cfg.eps)
+    cfg = partition.GoodnessConfig(1e9, 3, W_YT)
+    flat = partition.flatness_violators(tree, root, cache, 0.05)
     cls = partition.classify_cubes(tree, root, cfg, flat,
                                    partition.cover_counts(tree, flat))
     assert cls.area_violators == [root]
