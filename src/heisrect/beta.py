@@ -60,28 +60,37 @@ def _extreme_prefilter(pts):
     return pts[~inside]
 
 
+def _half_chain(pts):
+    """One half of Andrew's monotone chain over sorted distinct points.
+
+    Each whole-array pass drops every interior point that does not turn
+    strictly left with its current neighbours; such a point lies on or
+    above a segment of input points, so it is no chain vertex.  Passes
+    stop once every turn is strictly left.
+    """
+    while len(pts) > 2:
+        a, b, c = pts[:-2], pts[1:-1], pts[2:]
+        left = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])) > 0
+        if left.all():
+            break
+        pts = pts[np.concatenate(([True], left, [True]))]
+    return pts
+
+
 def convex_hull(points):
-    """Andrew's monotone chain; returns hull vertices in ccw order."""
-    pts = np.asarray(points, float).reshape(-1, 2)
-    pts = np.unique(_extreme_prefilter(pts), axis=0)
+    """Andrew's monotone chain; returns hull vertices in ccw order.
+
+    Starts at the lexicographic minimum; collinear points are dropped.
+    """
+    pts = _extreme_prefilter(np.asarray(points, float).reshape(-1, 2))
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    distinct = np.ones(len(pts), bool)
+    distinct[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[distinct]
     if len(pts) <= 2:
         return pts
-
-    def half(iterable):
-        out = []
-        for p in iterable:
-            while len(out) > 1:
-                a = out[-1] - out[-2]
-                b = p - out[-2]
-                if a[0] * b[1] - a[1] * b[0] > 0:
-                    break
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    return np.concatenate([_half_chain(pts)[:-1], _half_chain(pts[::-1])[:-1]])
 
 
 def min_width_direction(points):

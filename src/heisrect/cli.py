@@ -154,12 +154,11 @@ def cmd_wgl(args, params):
     center = ps.points[int(np.argmin(core.dist(ps.points,
                                                np.median(ps.points, axis=0))))]
     radius = float(core.dist(ps.points, center).max())
-    rows = []
-    for eps in args.epsilons:
-        est = cubes.wgl_integral_estimate(
-            ps.points, ps.masses, eps, center, radius,
-            sample_stride=int(params.get("stride", 4)))
-        rows.append([eps, radius, est, est / radius ** 3])
+    ests = cubes.wgl_integral_estimate(
+        ps.points, ps.masses, args.epsilons, center, radius,
+        sample_stride=int(params.get("stride", 4)))
+    rows = [[eps, radius, est, est / radius ** 3]
+            for eps, est in zip(args.epsilons, ests)]
     path = os.path.join(args.out, "wgl.csv")
     graphs.write_csv(path, ["epsilon", "R", "estimate", "normalized"], rows)
     print(f"wgl: {len(rows)} estimates -> {path}")

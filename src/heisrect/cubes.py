@@ -289,19 +289,20 @@ def carleson_with_integral(tree: CubeTree, beta_of, epsilons,
     root = max(tree.roots(), key=lambda c: tree.mass[c])
     radius = ball_multiplier * 2.0 ** tree.j_max
     report.integral_estimate = wgl_integral_estimate(
-        tree.points, tree.masses, report.epsilons[0], tree.center(root),
-        radius, sample_stride=sample_stride)
+        tree.points, tree.masses, report.epsilons[:1], tree.center(root),
+        radius, sample_stride=sample_stride)[0]
     return report
 
 
-def wgl_integral_estimate(points, masses, eps, x, R, n_shells=None,
+def wgl_integral_estimate(points, masses, epsilons, x, R, n_shells=None,
                           sample_stride=1):
-    """Dyadic-shell estimate of the packing integral.
+    """Dyadic-shell estimates of the packing integral, one per threshold.
 
-    Sums ln(2) * mass(y) over samples y in B(x, R) and shell radii
-    s_k = R 2^(-k+1/2) whose ball B(y, s_k) has flatness above eps.
-    The shell count defaults to the range between R and 4x the median
-    sample spacing.
+    For each eps in epsilons, sums ln(2) * mass(y) over samples y in
+    B(x, R) and shell radii s_k = R 2^(-k+1/2) whose ball B(y, s_k) has
+    flatness above eps.  Each ball's flatness is computed once and
+    compared with every threshold.  The shell count defaults to the
+    range between R and 4x the median sample spacing.
     """
     points = np.asarray(points, float).reshape(-1, 3)
     masses = np.asarray(masses, float).reshape(-1)
@@ -312,15 +313,15 @@ def wgl_integral_estimate(points, masses, eps, x, R, n_shells=None,
     if n_shells is None:
         nn = median_nn_distance(points)
         n_shells = max(1, int(math.floor(math.log2(R / (4 * nn))))) if nn > 0 else 3
-    total = 0.0
+    totals = [0.0] * len(epsilons)
     for k in range(1, n_shells + 1):
         s = R * 2.0 ** (-k + 0.5)
         for i in inside[::sample_stride]:
-            ball = beta_mod.Ball(points[i], s)
-            rec = beta_mod.beta_vertical(points, ball)
-            if rec.beta > eps:
-                total += math.log(2.0) * masses[i] * sample_stride
-    return total
+            b = beta_mod.beta_vertical(points, beta_mod.Ball(points[i], s)).beta
+            for e, eps in enumerate(epsilons):
+                if b > eps:
+                    totals[e] += math.log(2.0) * masses[i] * sample_stride
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heisrect import beta, burgers, core, graphs, planes
+from heisrect import beta, burgers, cli, core, graphs, planes
 
 RNG = np.random.default_rng(53)
 
@@ -43,6 +44,74 @@ def test_calipers_match_brute_force():
         tol = 1e-6 + (np.pi / 720) * diam / ball.radius
         assert bru.beta >= cal.beta - 1e-12  # grid can only overshoot
         assert abs(cal.beta - bru.beta) <= tol
+
+
+def sequential_chain(points):
+    """Oracle: Andrew's monotone chain, one point at a time, exact ints."""
+    pts = sorted(set(map(tuple, points)))
+    if len(pts) <= 2:
+        return pts
+
+    def turn(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
+
+
+@st.composite
+def integer_clouds(draw):
+    """Integer planar clouds with duplicate rows and collinear runs.
+
+    Integer coordinates keep every cross product exact.  A spread of 0
+    or 1 gives clouds with one or a few distinct points.
+    """
+    spread = draw(st.sampled_from([0, 1, 3, 20, 1000]))
+    coord = st.integers(-spread, spread)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=80))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.tuples(coord, coord))
+        step = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        ks = draw(st.lists(st.integers(-10, 10), min_size=1, max_size=20))
+        pts += [(start[0] + k * step[0], start[1] + k * step[1]) for k in ks]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=len(pts)))
+    return [list(p) for p in draw(st.permutations(pts))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(integer_clouds())
+def test_convex_hull_matches_sequential_chain(points):
+    hull = beta.convex_hull(np.array(points, float))
+    assert hull.tolist() == [[float(x), float(y)]
+                             for x, y in sequential_chain(points)]
+
+
+@settings(deadline=None)
+@given(integer_clouds())
+def test_min_width_within_brute_grid(points):
+    pts = np.array(points, float)
+    width = beta.min_width_direction(pts)[0]
+    brute = beta.brute_min_width(pts)[0]
+    diam = np.ptp(pts, axis=0).max() * np.sqrt(2)
+    assert width <= brute + 1e-9 * (1 + diam)
+    assert brute - width <= (np.pi / 720) * diam + 1e-9
+
+
+def test_affine_scenario_balls_flat(tmp_path):
+    # every horizontal point lies on one line; rounding may pick any
+    # near-collinear hull, but the width must stay at rounding level
+    assert cli.main(["beta", "--scenario", "affine",
+                     "--out", str(tmp_path)]) == 0
+    records = beta.load_beta_records(tmp_path / "beta_records.csv")
+    assert len(records) == 78
+    assert max(rec.beta for rec in records) <= 1e-12
 
 
 def test_beta_invariance_under_translation_dilation():

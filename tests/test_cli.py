@@ -156,6 +156,14 @@ GOLDEN = {
         "partition_summary.json": "a9f80df82fd8d1501f74cf772f7a5ab7"
                                   "3cf8e25a0e823b6a029fac8183d4e68c",
     },
+    ("wgl", "example_tys", '{"n": 21}', ("--epsilons", "0.4,0.5")): {
+        "wgl.csv": "a205f98467e4538305c6ea00f38d6b7e"
+                   "e872ab0e12478390f51cef4488343d93",
+    },
+    ("beta", "perturbed", '{}', ()): {
+        "beta_records.csv": "9cd6b5d66ab11c95ba4bb86ef4db5c7f"
+                            "6bcdf3ea84988e61e7d2c6f09a672e29",
+    },
 }
 
 

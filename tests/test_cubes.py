@@ -177,8 +177,8 @@ def test_carleson_monotone_in_epsilon():
 def test_wgl_estimate_zero_for_plane(plane_tree):
     _, pts, masses = plane_tree
     for eps in (0.01, 0.1):
-        est = cubes.wgl_integral_estimate(pts, masses, eps, pts[0], 2.0,
-                                          sample_stride=8)
+        est = cubes.wgl_integral_estimate(pts, masses, [eps], pts[0], 2.0,
+                                          sample_stride=8)[0]
         assert est == 0.0
 
 
@@ -187,13 +187,27 @@ def test_wgl_estimate_scaling():
                                    15, 15)
     ps = graphs.point_set(g)
     eps, R = 0.05, 1.5
-    base = cubes.wgl_integral_estimate(ps.points, ps.masses, eps,
-                                       np.zeros(3), R, n_shells=3)
+    base = cubes.wgl_integral_estimate(ps.points, ps.masses, [eps],
+                                       np.zeros(3), R, n_shells=3)[0]
     scaled = cubes.wgl_integral_estimate(core.dilate(2.0, ps.points),
-                                         8.0 * ps.masses, eps,
-                                         np.zeros(3), 2 * R, n_shells=3)
+                                         8.0 * ps.masses, [eps],
+                                         np.zeros(3), 2 * R, n_shells=3)[0]
     assert base > 0
     assert abs(scaled - 8.0 * base) <= 0.1 * 8.0 * base
+
+
+def test_wgl_multi_threshold_matches_single_calls():
+    g = burgers.grid_from_function(lambda y, t: np.abs(y), (-1, 1), (-1, 1),
+                                   15, 15)
+    ps = graphs.point_set(g)
+    args = (ps.points, ps.masses)
+    both = cubes.wgl_integral_estimate(*args, [0.05, 0.2], np.zeros(3), 1.5,
+                                       sample_stride=2)
+    singles = [cubes.wgl_integral_estimate(*args, [e], np.zeros(3), 1.5,
+                                           sample_stride=2)[0]
+               for e in (0.05, 0.2)]
+    assert both == singles
+    assert both[0] > both[1] > 0
 
 
 def test_wgl_consistent_with_carleson():
@@ -202,18 +216,20 @@ def test_wgl_consistent_with_carleson():
     ps = graphs.point_set(g)
     tree = cubes.build_cubes(ps.points, ps.masses, j_min=-3, j_max=2)
     cache = cubes.cube_beta_cache(tree)
-    eps = 0.05
-    report = cubes.carleson_sum(tree, cache, [eps])
+    epsilons = [0.05, 0.2, 0.5, 0.9]
+    report = cubes.carleson_sum(tree, cache, epsilons)
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    est = cubes.wgl_integral_estimate(ps.points, ps.masses, eps,
-                                      tree.center(root), 4.0, n_shells=4)
-    k = report.per_root[root][0]
+    ests = cubes.wgl_integral_estimate(ps.points, ps.masses, epsilons,
+                                       tree.center(root), 4.0, n_shells=4)
+    ks = report.per_root[root]
     # both vanish together; otherwise their ratio is the reported constant
-    if est == 0:
-        assert k <= 1e-9 or k >= 0  # nothing to compare at this threshold
-    else:
-        assert k > 0
-        assert est / (k * tree.mass[root]) < 50
+    for est, k in zip(ests, ks):
+        assert (est > 0) == (k > 0)
+        if est > 0:
+            assert est / (k * tree.mass[root]) < 50
+    assert all(a >= b for a, b in zip(ests, ests[1:]))
+    assert all(a >= b for a, b in zip(ks, ks[1:]))
+    assert ests[0] > 0 and ests[-1] == 0
 
 
 def test_refine_predyadic_disjoint_unchanged():
