@@ -36,46 +36,74 @@ class BetaRecord:
     method: str
 
 
-def _extreme_prefilter(pts):
-    """Drop points strictly inside the octagon of directional extremes.
-
-    Interior points never touch the hull, so this only shrinks the
-    input of the chain scan; degenerate (flat) octagons keep everything.
-    """
-    if len(pts) < 32:
-        return pts
-    x, y = pts[:, 0], pts[:, 1]
-    scores = [x, -x, y, -y, x + y, -x - y, x - y, y - x]
-    corners = pts[np.unique([int(np.argmax(s)) for s in scores])]
-    if len(corners) < 3:
-        return pts
-    center = corners.mean(axis=0)
-    order = np.argsort(np.arctan2(corners[:, 1] - center[1],
-                                  corners[:, 0] - center[0]))
-    poly = corners[order]
-    edges = np.roll(poly, -1, axis=0) - poly
-    rel = pts[:, None, :] - poly[None, :, :]
-    cross = edges[None, :, 0] * rel[:, :, 1] - edges[None, :, 1] * rel[:, :, 0]
-    inside = np.all(cross > 0, axis=1)
-    return pts[~inside]
+# Ball-sample pairs per membership chunk of beta_vertical_batch; keeps
+# its temporaries to a few MB whatever the number of balls.
+CHUNK_PAIRS = 2 ** 16
 
 
-def _half_chain(pts):
-    """One half of Andrew's monotone chain over sorted distinct points.
+def _run_ends(seg):
+    """Masks of the first and the last entry of each run of equal ids."""
+    change = seg[1:] != seg[:-1]
+    first = np.ones(len(seg), bool)
+    first[1:] = change
+    last = np.ones(len(seg), bool)
+    last[:-1] = change
+    return first, last
 
-    Each whole-array pass drops every interior point that does not turn
+
+def _half_chain(pts, end):
+    """One half of Andrew's monotone chain in every segment at once.
+
+    pts holds the sorted distinct points of consecutive segments and
+    `end` marks the first and the last point of each segment.  Each
+    whole-array pass drops every interior point that does not turn
     strictly left with its current neighbours; such a point lies on or
-    above a segment of input points, so it is no chain vertex.  Passes
-    stop once every turn is strictly left.
+    above a segment of input points, so it is no chain vertex.  Segment
+    ends are always kept, which masks every triple spanning two
+    segments.  Passes stop once every turn is strictly left.  Returns
+    the indices of the chain vertices.
     """
-    while len(pts) > 2:
-        a, b, c = pts[:-2], pts[1:-1], pts[2:]
-        left = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+    idx = np.arange(len(pts))
+    while len(idx) > 2:
+        p = np.take(pts, idx, axis=0)
+        a, b, c = p[:-2], p[1:-1], p[2:]
+        keep = ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
                 - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])) > 0
-        if left.all():
+        keep |= end[idx[1:-1]]
+        if keep.all():
             break
-        pts = pts[np.concatenate(([True], left, [True]))]
-    return pts
+        idx = idx[np.concatenate(([True], keep, [True]))]
+    return idx
+
+
+def _segment_hulls(pts, seg):
+    """Convex hulls of consecutive segments of lexicographically sorted points.
+
+    seg is ascending and labels each point's segment.  Returns the hull
+    vertices and their segment ids (per segment ccw from its
+    lexicographic minimum, collinear points dropped), then the distinct
+    points and their segment ids.
+    """
+    distinct, _ = _run_ends(seg)
+    distinct[1:] |= np.any(pts[1:] != pts[:-1], axis=1)
+    pts, seg = pts[distinct], seg[distinct]
+    first, last = _run_ends(seg)
+    ends = first | last
+    lower = _half_chain(pts, ends)
+    # np.take copies a non-contiguous input on every pass
+    upper = len(pts) - 1 - _half_chain(pts[::-1].copy(), ends[::-1])
+    # each half drops its last point, where the other half starts; a
+    # one-point segment keeps its lower point
+    idx = np.concatenate([lower[~last[lower] | first[lower]],
+                          upper[~first[upper]]])
+    idx = idx[np.argsort(seg[idx], kind="stable")]
+    return pts[idx], seg[idx], pts, seg
+
+
+def _one_segment_hull(points):
+    pts = np.asarray(points, float).reshape(-1, 2)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return _segment_hulls(pts, np.zeros(len(pts), int))
 
 
 def convex_hull(points):
@@ -83,42 +111,7 @@ def convex_hull(points):
 
     Starts at the lexicographic minimum; collinear points are dropped.
     """
-    pts = _extreme_prefilter(np.asarray(points, float).reshape(-1, 2))
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    distinct = np.ones(len(pts), bool)
-    distinct[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    pts = pts[distinct]
-    if len(pts) <= 2:
-        return pts
-    return np.concatenate([_half_chain(pts)[:-1], _half_chain(pts[::-1])[:-1]])
-
-
-def min_width_direction(points):
-    """Minimum directional width of a planar cloud.
-
-    Returns (width, theta, offset) where theta is the angle of the line
-    direction achieving the width and offset the midline position along
-    the unit normal.  The optimal normal is perpendicular to some hull
-    edge, so scanning edges is exact.
-    """
-    pts = np.asarray(points, float).reshape(-1, 2)
-    hull = convex_hull(pts)
-    if len(hull) == 1:
-        return 0.0, 0.0, float(hull[0] @ np.array([0.0, 1.0]))
-    edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    keep = lengths > 0
-    edges = edges[keep] / lengths[keep][:, None]
-    if len(edges) == 0:
-        return 0.0, 0.0, float(hull[0, 1])
-    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=-1)
-    proj = hull @ normals.T  # (n_hull, n_edges)
-    widths = proj.max(axis=0) - proj.min(axis=0)
-    k = int(np.argmin(widths))
-    theta = core.normalize_angle(np.arctan2(edges[k, 1], edges[k, 0]))
-    sub = planes.VerticalSubgroup(theta)
-    along = pts @ sub.normal
-    return float(widths[k]), theta, float(0.5 * (along.max() + along.min()))
+    return _one_segment_hull(points)[0]
 
 
 def brute_min_width(points, n_dirs=720):
@@ -133,33 +126,112 @@ def brute_min_width(points, n_dirs=720):
     return float(widths[k]), float(thetas[k]), float(0.5 * (along.max() + along.min()))
 
 
+def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg, method="calipers",
+                    n_dirs=720):
+    """(width, theta, offset) of every segment, None for an empty one.
+
+    Takes the output of _segment_hulls.  The optimal normal is
+    perpendicular to some hull edge, so scanning edges is exact: per
+    segment, the width along each edge normal is the spread of
+    `hull @ normals.T`, and the offset is the midrange of the segment's
+    distinct points along the best normal.  method='brute' runs the
+    direction grid instead.
+    """
+    ids = np.arange(n_seg + 1)
+    h_at = np.searchsorted(hull_seg, ids).tolist()
+    p_at = np.searchsorted(pts_seg, ids).tolist()
+    # edge k runs from vertex k to the next one of its own hull; a
+    # one-vertex hull gets a zero edge, never read
+    nxt = np.arange(1, len(hull) + 1)
+    first, last = _run_ends(hull_seg)
+    nxt[last] = np.flatnonzero(first)
+    edges = hull[nxt] - hull
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    edges = edges / np.where(lengths > 0, lengths, 1.0)[:, None]
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=-1)
+    out = []
+    for b in range(n_seg):
+        h0, h1 = h_at[b], h_at[b + 1]
+        if h0 == h1:
+            out.append(None)
+        elif method == "brute":
+            out.append(brute_min_width(pts[p_at[b]:p_at[b + 1]], n_dirs))
+        elif h1 - h0 == 1:
+            out.append((0.0, 0.0, float(hull[h0] @ np.array([0.0, 1.0]))))
+        else:
+            proj = hull[h0:h1] @ normals[h0:h1].T  # (n_hull, n_edges)
+            widths = proj.max(axis=0) - proj.min(axis=0)
+            k = int(np.argmin(widths))
+            sub = planes.VerticalSubgroup(np.arctan2(edges[h0 + k, 1],
+                                                     edges[h0 + k, 0]))
+            along = pts[p_at[b]:p_at[b + 1]] @ sub.normal
+            out.append((float(widths[k]), sub.theta,
+                        float(0.5 * (along.max() + along.min()))))
+    return out
+
+
+def min_width_direction(points):
+    """Minimum directional width of a planar cloud.
+
+    Returns (width, theta, offset) where theta is the angle of the line
+    direction achieving the width and offset the midline position along
+    the unit normal; the one-segment case of the batched scan.
+    """
+    return _segment_widths(1, *_one_segment_hull(points))[0]
+
+
 def points_in_ball(points, ball: Ball):
     pts = np.asarray(points, float).reshape(-1, 3)
     return core.dist(pts, ball.center) <= ball.radius
 
 
-def beta_vertical(points, ball: Ball, method="calipers", n_dirs=720) -> BetaRecord:
-    """Exact vertical flatness number of the samples inside a ball.
+def beta_vertical_batch(points, balls, method="calipers", n_dirs=720):
+    """Exact vertical flatness records of a list of balls over one cloud.
 
     Minimizes sup_y dist(y, z . W) / r over all vertical planes; for a
     fixed plane direction the optimal offset is the midrange of the
     horizontal projections, so the infimum is half the minimum hull
-    width divided by r.  method='brute' runs the direction grid instead
-    of calipers.  Raises ValueError on an empty intersection.
+    width divided by r.  The samples are sorted by (x, y) once, so each
+    ball's horizontal points come out of the membership test sorted;
+    balls are then handled in chunks of at most CHUNK_PAIRS ball-sample
+    pairs (one ball at least), with one hull pass per chunk.
+    method='brute' runs the direction grid instead of calipers.
+    Returns one record per ball, None for a ball holding no sample.
     """
-    pts = np.asarray(points, float).reshape(-1, 3)
-    inside = pts[points_in_ball(pts, ball)]
-    if len(inside) == 0:
-        raise ValueError("no samples in the ball")
-    horiz = inside[:, :2]
-    if method == "calipers":
-        width, theta, offset = min_width_direction(horiz)
-    elif method == "brute":
-        width, theta, offset = brute_min_width(horiz, n_dirs)
-    else:
+    if method not in ("calipers", "brute"):
         raise ValueError(f"unknown method {method!r}")
-    plane = planes.VerticalPlane(planes.VerticalSubgroup(theta), offset)
-    return BetaRecord(ball, 0.5 * width / ball.radius, plane, method)
+    pts = np.asarray(points, float).reshape(-1, 3)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    xy = np.ascontiguousarray(pts[:, :2])
+    step = max(1, CHUNK_PAIRS // max(len(pts), 1))
+    out = []
+    for s in range(0, len(balls), step):
+        chunk = balls[s:s + step]
+        centers = np.array([ball.center for ball in chunk])
+        radii = np.array([ball.radius for ball in chunk], float)
+        inside = core.dist(pts[None, :, :], centers[:, None, :]) <= radii[:, None]
+        seg, idx = np.nonzero(inside)
+        # np.take gathers rows several times faster than fancy indexing
+        hulls = _segment_hulls(np.take(xy, idx, axis=0), seg)
+        scans = _segment_widths(len(chunk), *hulls, method, n_dirs)
+        out += [None if scan is None else BetaRecord(
+                    ball, 0.5 * scan[0] / ball.radius,
+                    planes.VerticalPlane(planes.VerticalSubgroup(scan[1]),
+                                         scan[2]), method)
+                for ball, scan in zip(chunk, scans)]
+    return out
+
+
+def beta_vertical(points, ball: Ball, method="calipers", n_dirs=720) -> BetaRecord:
+    """Exact vertical flatness number of the samples inside one ball.
+
+    The batch of one of beta_vertical_batch; raises ValueError on an
+    empty intersection.
+    """
+    rec = beta_vertical_batch(points, [ball], method, n_dirs)[0]
+    if rec is None:
+        raise ValueError("no samples in the ball")
+    return rec
 
 
 def save_beta_records(records, path):

@@ -115,14 +115,10 @@ def cmd_beta(args, params):
     if lo is None:
         lo, hi = -2, 0
     radii = [2.0 ** j for j in range(lo, hi + 1)]
-    records = []
-    for center in ps.points[::stride]:
-        for r in radii:
-            try:
-                records.append(beta_mod.beta_vertical(
-                    ps.points, beta_mod.Ball(center, r)))
-            except ValueError:
-                continue
+    balls = [beta_mod.Ball(center, r)
+             for center in ps.points[::stride] for r in radii]
+    records = [rec for rec in beta_mod.beta_vertical_batch(ps.points, balls)
+               if rec is not None]
     path = os.path.join(args.out, "beta_records.csv")
     beta_mod.save_beta_records(records, path)
     print(f"beta: {len(records)} records -> {path}")

@@ -231,10 +231,9 @@ def sibling_pair(tree: CubeTree, i1, i2):
 
 def cube_beta_cache(tree: CubeTree, multiplier=4.0):
     """Flatness record of B(z_Q, multiplier * 2^j) for every cube, by id."""
-    return {cid: beta_mod.beta_vertical(
-                tree.points, beta_mod.Ball(tree.center(cid),
-                                           multiplier * 2.0 ** j))
-            for cid, j in enumerate(tree.level.tolist())}
+    balls = [beta_mod.Ball(tree.center(cid), multiplier * 2.0 ** j)
+             for cid, j in enumerate(tree.level.tolist())]
+    return dict(enumerate(beta_mod.beta_vertical_batch(tree.points, balls)))
 
 
 def corona_ball_multiplier(b_inclusion):
@@ -301,8 +300,9 @@ def wgl_integral_estimate(points, masses, epsilons, x, R, n_shells=None,
     For each eps in epsilons, sums ln(2) * mass(y) over samples y in
     B(x, R) and shell radii s_k = R 2^(-k+1/2) whose ball B(y, s_k) has
     flatness above eps.  Each ball's flatness is computed once and
-    compared with every threshold.  The shell count defaults to the
-    range between R and 4x the median sample spacing.
+    compared with every threshold; one batch per shell covers every
+    sampled center.  The shell count defaults to the range between R
+    and 4x the median sample spacing.
     """
     points = np.asarray(points, float).reshape(-1, 3)
     masses = np.asarray(masses, float).reshape(-1)
@@ -314,12 +314,14 @@ def wgl_integral_estimate(points, masses, epsilons, x, R, n_shells=None,
         nn = median_nn_distance(points)
         n_shells = max(1, int(math.floor(math.log2(R / (4 * nn))))) if nn > 0 else 3
     totals = [0.0] * len(epsilons)
+    centers = inside[::sample_stride]
     for k in range(1, n_shells + 1):
         s = R * 2.0 ** (-k + 0.5)
-        for i in inside[::sample_stride]:
-            b = beta_mod.beta_vertical(points, beta_mod.Ball(points[i], s)).beta
+        records = beta_mod.beta_vertical_batch(
+            points, [beta_mod.Ball(points[i], s) for i in centers])
+        for i, rec in zip(centers, records):
             for e, eps in enumerate(epsilons):
-                if b > eps:
+                if rec.beta > eps:
                     totals[e] += math.log(2.0) * masses[i] * sample_stride
     return totals
 

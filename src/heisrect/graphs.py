@@ -82,8 +82,9 @@ class GraphPointSet:
         self.masses = np.asarray(self.masses, float).reshape(-1)
         if len(self.masses) != len(self.points):
             raise ValueError("one mass per point required")
-        if np.any(self.masses < 0) or not np.all(np.isfinite(self.points)):
-            raise ValueError("masses must be >= 0 and points finite")
+        if (not np.all(np.isfinite(self.masses)) or np.any(self.masses < 0)
+                or not np.all(np.isfinite(self.points))):
+            raise ValueError("masses must be finite and >= 0, points finite")
 
 
 def graph_points(p):
@@ -324,7 +325,7 @@ def read_csv(path):
     """Data rows of a CSV artifact as lists of strings, header skipped."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        next(rd)
+        next(rd, None)
         return list(rd)
 
 
@@ -356,5 +357,12 @@ def save_point_set(ps: GraphPointSet, path):
 
 
 def load_point_set(path, provenance=""):
-    rows = np.array([[float(v) for v in row] for row in read_csv(path)])
+    """Samples of an x,y,t,mass CSV; rows are counted from 1 after the header."""
+    rows = read_csv(path)
+    if not rows:
+        raise ValueError(f"{path}: no samples")
+    for k, row in enumerate(rows, 1):
+        if len(row) != 4:
+            raise ValueError(f"{path}: row {k} has {len(row)} fields, expected 4")
+    rows = np.array([[float(v) for v in row] for row in rows])
     return GraphPointSet(rows[:, :3], rows[:, 3], provenance or str(path))

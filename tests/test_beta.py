@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +104,88 @@ def test_min_width_within_brute_grid(points):
     diam = np.ptp(pts, axis=0).max() * np.sqrt(2)
     assert width <= brute + 1e-9 * (1 + diam)
     assert brute - width <= (np.pi / 720) * diam + 1e-9
+
+
+def per_ball_oracle(points, ball):
+    """The per-ball path: exact membership, sequential chain, width scan.
+
+    Returns (beta, theta, offset), or None for an empty ball.  The width
+    scan uses the same array products as the batched kernel.
+    """
+    inside = points[core.dist(points, ball.center) <= ball.radius]
+    if len(inside) == 0:
+        return None
+    horiz = inside[:, :2]
+    hull = np.array(sequential_chain(horiz.tolist()), float)
+    if len(hull) == 1:
+        return 0.0, 0.0, float(hull[0] @ np.array([0.0, 1.0]))
+    edges = np.diff(np.vstack([hull, hull[:1]]), axis=0)
+    edges = edges / np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=-1)
+    proj = hull @ normals.T
+    widths = proj.max(axis=0) - proj.min(axis=0)
+    k = int(np.argmin(widths))
+    sub = planes.VerticalSubgroup(np.arctan2(edges[k, 1], edges[k, 0]))
+    along = horiz @ sub.normal
+    return (0.5 * float(widths[k]) / ball.radius, sub.theta,
+            float(0.5 * (along.max() + along.min())))
+
+
+FAR = 10 ** 6  # beyond every drawn radius
+
+
+@st.composite
+def fibred_clouds_and_balls(draw):
+    """Integer 3-D clouds over integer_clouds footprints, plus balls.
+
+    Each horizontal point carries a vertical fibre of 1-4 samples, so
+    small balls hold 1, 2 or 3 distinct horizontal points.  Far filler
+    samples keep at least 40 samples, and the drawn balls repeat until
+    one batch spans more than CHUNK_PAIRS ball-sample pairs.  Centers
+    are samples moved by at most one unit per coordinate; a far center
+    gives an empty ball.
+    """
+    horiz = draw(integer_clouds())
+    t_spread = draw(st.sampled_from([1, 3, 50]))
+    pts = []
+    for x, y in horiz:
+        ts = draw(st.lists(st.integers(-t_spread, t_spread),
+                           min_size=1, max_size=4))
+        pts += [(x, y, t) for t in ts]
+    shift = st.one_of(st.just((0, 0, 0)),
+                      st.tuples(*[st.integers(-1, 1)] * 3))
+    centers = st.tuples(st.sampled_from(pts), shift).map(
+        lambda cs: np.add(*cs, dtype=float))
+    pts += [(FAR + k, 0, 0) for k in range(40 - len(pts))]
+    pts = np.array(pts, float)
+    radii = st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 8.0, 40.0, 1500.0])
+    drawn = [beta.Ball(c, r) for c, r in draw(
+        st.lists(st.tuples(centers, radii), min_size=1, max_size=12))]
+    if draw(st.booleans()):
+        drawn.append(beta.Ball(np.array([-FAR, 0.0, 0.0]), 1.0))
+    reps = beta.CHUNK_PAIRS // (len(drawn) * len(pts)) + 2
+    return pts, drawn, drawn * reps
+
+
+def _bits(values):
+    return struct.pack("<3d", *values)
+
+
+@settings(deadline=None, max_examples=60)
+@given(fibred_clouds_and_balls())
+def test_batch_matches_per_ball_oracle(case):
+    pts, drawn, balls = case
+    assert len(balls) * len(pts) > beta.CHUNK_PAIRS
+    want = [per_ball_oracle(pts, ball) for ball in drawn]
+    got = beta.beta_vertical_batch(pts, balls)
+    assert len(got) == len(balls)
+    for k, rec in enumerate(got):
+        ref = want[k % len(drawn)]
+        assert (rec is None) == (ref is None)
+        if rec is not None:
+            assert rec.ball is balls[k]
+            assert _bits((rec.beta, rec.best_plane.subgroup.theta,
+                          rec.best_plane.offset)) == _bits(ref)
 
 
 def test_affine_scenario_balls_flat(tmp_path):

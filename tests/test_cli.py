@@ -122,6 +122,40 @@ def test_custom_file_scenario(tmp_path):
     assert np.allclose(ps.points, ps2.points)
 
 
+def run_custom_points(tmp_path, capsys, text):
+    """Run `cubes` on a point CSV; returns (exit code, error JSON)."""
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"path": str(path)}))
+    capsys.readouterr()
+    rc = cli.main(["cubes", "--scenario", "custom_file", "--config",
+                   str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    return rc, json.loads(err.splitlines()[-1]) if err else None
+
+
+def test_custom_file_rejects_non_finite_masses(tmp_path, capsys):
+    rows = "".join(f"{0.1 * k},{0.2 * k},0.0,1.0\n" for k in range(8))
+    for bad in ("nan", "inf", "-inf"):
+        rc, err = run_custom_points(
+            tmp_path, capsys, "x,y,t,mass\n" + rows + f"0.5,0.5,0.0,{bad}\n")
+        assert rc == 3
+        assert err["error"]["kind"] == "numerical"
+        assert "finite" in err["error"]["detail"]
+
+
+def test_custom_file_empty_and_truncated(tmp_path, capsys):
+    for text, detail in (
+            ("x,y,t,mass\n", "no samples"),
+            ("", "no samples"),
+            ("x,y,t,mass\n0,0,0,1\n1,1,0\n", "row 2 has 3 fields, expected 4")):
+        rc, err = run_custom_points(tmp_path, capsys, text)
+        assert rc == 3
+        assert err["error"]["kind"] == "numerical"
+        assert err["error"]["detail"].endswith(detail)
+
+
 def test_cubes_rerun_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):
@@ -163,6 +197,14 @@ GOLDEN = {
     ("beta", "perturbed", '{}', ()): {
         "beta_records.csv": "9cd6b5d66ab11c95ba4bb86ef4db5c7f"
                             "6bcdf3ea84988e61e7d2c6f09a672e29",
+    },
+    ("beta", "example_tys", '{"n": 21}', ()): {
+        "beta_records.csv": "de04c7ad70c753e1bc4fbe79b07e2d24"
+                            "60e61b86464bcbe94dccde0db8bad53b",
+    },
+    ("beta", "two_patch_union", '{"ny": 27}', ()): {
+        "beta_records.csv": "39444400bcd839570d46d23c55fda13a"
+                            "7d619195616bc8a964003100b5517261",
     },
 }
 

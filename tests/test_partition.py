@@ -140,15 +140,17 @@ def test_coding_separation_property():
     eps = 0.05
     result = partition.graph_piece_partition(tree, root, cache, b=0.4,
                                              eps=eps)
-    pts = tree.points
     mult = 4.0
     scope = set(tree.descendants(root))
+    members = tree.samples(root)
     for q in result.classification.flat_violators:
         level = tree.level[q]
+        # per cube, the largest distance from q's center to its samples
+        reach = np.full(len(tree), -np.inf)
+        np.maximum.at(reach, tree.label[level][members],
+                      core.dist(tree.points[members], tree.center(q)))
         same = [c for c in tree.at_level(level)
-                if c != q and c in scope and core.dist(
-                    pts[tree.samples(c)],
-                    tree.center(q)).max() <= mult * 2.0 ** level]
+                if c != q and c in scope and reach[c] <= mult * 2.0 ** level]
         for q1 in same:
             s_q = result.coding.cube_sigma[q]
             s_q1 = result.coding.cube_sigma[q1]
