@@ -8,16 +8,26 @@ inherits the center's ancestor chain, which makes nesting exact by
 construction.  On top of the tree live Carleson packing sums, the
 integral formulation of the packing condition, the pre-dyadic ball
 refinement, and stopping-time (corona) partitions.
+
+Tree construction and checks answer every neighbourhood question with a
+box-bounded cKDTree query followed by the exact core.dist filter, so
+they return the same values as all-pairs scans without building one.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import beta as beta_mod
 from . import core, graphs
+
+# relative widening of every neighbourhood box, for the rounding of the
+# box edges and of |z| on top of _dist_error's bound
+BOX_SLACK = 1e-9
 
 
 class CubeTree:
@@ -40,6 +50,11 @@ class CubeTree:
         self.mass = mass
         self.j_min = j_min
         self.j_max = j_max
+        # CSR groupings: the samples of cube c at level j are
+        # order[start[c]:start[c + 1]] of _members[j], ascending
+        self._members = {j: _group(lab, len(level)) for j, lab in label.items()}
+        order, start = _group(parent, len(level))
+        self._children = (order.tolist(), start.tolist())
 
     def __len__(self):
         return len(self.level)
@@ -50,10 +65,12 @@ class CubeTree:
 
     def samples(self, cube_id):
         """Sample indices of a cube, ascending."""
-        return np.flatnonzero(self.label[self.level[cube_id]] == cube_id)
+        order, start = self._members[self.level[cube_id]]
+        return order[start[cube_id]:start[cube_id + 1]]
 
     def children(self, cube_id):
-        return np.flatnonzero(self.parent == cube_id).tolist()
+        order, start = self._children
+        return order[start[cube_id]:start[cube_id + 1]]
 
     def center(self, cube_id):
         return self.points[self.center_index[cube_id]]
@@ -63,17 +80,20 @@ class CubeTree:
 
     def descendants(self, cube_id):
         """cube_id and everything below it, in depth-first order."""
-        # one stable sort groups the children of every cube, ascending
-        order = np.argsort(self.parent, kind="stable")
-        start = np.searchsorted(self.parent[order], np.arange(len(self) + 1))
-        order, start = order.tolist(), start.tolist()
         out = [cube_id]
-        stack = order[start[cube_id]:start[cube_id + 1]]
+        stack = self.children(cube_id)
         while stack:
             cid = stack.pop()
             out.append(cid)
-            stack.extend(order[start[cid]:start[cid + 1]])
+            stack.extend(self.children(cid))
         return out
+
+
+def _group(keys, n):
+    """Stable argsort of keys in [-1, n) and the start of each key 0..n."""
+    order = np.argsort(keys, kind="stable")
+    order.setflags(write=False)  # samples() hands out views of it
+    return order, np.searchsorted(keys[order], np.arange(n + 1))
 
 
 def farthest_point_net(points, radius, candidates=None):
@@ -95,35 +115,139 @@ def farthest_point_net(points, radius, candidates=None):
     return idx[np.array(sorted(chosen))]
 
 
-def _row_blocks(points, others):
-    """Distance matrix from points to others, 512 rows at a time."""
-    for s in range(0, len(points), 512):
-        yield s, core.dist(points[s:s + 512, None, :], others[None, :, :])
+def _diameter(points):
+    """All-pairs diameter in 512-row blocks; the exact fallback of the
+    bounds below."""
+    return max(float(core.dist(points[s:s + 512, None, :],
+                               points[None, :, :]).max())
+               for s in range(0, len(points), 512))
 
 
-def _nearest(points, targets):
-    """Index of the nearest target per point, lowest index on ties."""
+def _dist_error(points):
+    """Bound on |core.dist - exact distance| between two of the points.
+
+    The central term of core.mul rounds with absolute error at most
+    eps * (2 max|t| + max|z|^2); its square root dominates the relative
+    rounding of the horizontal part.
+    """
+    s = 2.0 * np.abs(points[:, 2]).max() + np.hypot(points[:, 0],
+                                                    points[:, 1]).max() ** 2
+    return 4.0 * math.sqrt(np.finfo(float).eps * float(s))
+
+
+def _box_query(kd, centers, radii, tol):
+    """Indices of every kd point whose core.dist to a center may be <= r.
+
+    q in B(c, r) implies |x_q - x_c|, |y_q - y_c| <= r and
+    |t_q - t_c| <= r^2 + |z_c| r / 2 (core.mul, core.norm); r is widened
+    by the rounding bound tol first.  Yields (rows, cols) per block of
+    1,024 centers: center rows[k] may hold kd point cols[k], with rows
+    ascending and cols ascending within each row.
+    """
+    r = np.asarray(radii, float) + tol
+    z = np.hypot(centers[:, 0], centers[:, 1])
+    half = np.maximum(r, r * r + 0.5 * z * r) * (1.0 + BOX_SLACK) + tol
+    for s in range(0, len(centers), 1024):
+        lists = kd.query_ball_point(centers[s:s + 1024], half[s:s + 1024],
+                                    p=np.inf, return_sorted=True)
+        counts = np.fromiter(map(len, lists), int, len(lists))
+        yield (np.repeat(np.arange(s, s + len(lists)), counts),
+               np.fromiter(itertools.chain.from_iterable(lists), int,
+                           int(counts.sum())))
+
+
+def _first_per_row(rows):
+    """Position of the first entry of each row in a row-sorted array."""
+    return np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+
+
+def _nearest(points, targets, radius, tol):
+    """Index of the nearest target per point, lowest index on ties.
+
+    Every point must have a target at distance < radius (the covering
+    radius of the net the targets form), so only box candidates count.
+    """
     out = np.empty(len(points), dtype=int)
-    for s, d in _row_blocks(points, targets):
-        out[s:s + len(d)] = np.argmin(d, axis=1)
+    for rows, cols in _box_query(cKDTree(targets), points,
+                                 np.full(len(points), radius), tol):
+        # stable: ascending target index among equal distances
+        order = np.lexsort((core.dist(points[rows], targets[cols]), rows))
+        pick = order[_first_per_row(rows)]
+        out[rows[pick]] = cols[pick]
     return out
 
 
-def _diameter(points):
-    return max(float(d.max()) for _, d in _row_blocks(points, points))
+def _nn_distances(points, tol):
+    """Per-sample distance to the nearest other sample (inf if alone).
+
+    The Euclidean nearest neighbour gives an upper bound u; the exact
+    minimum lies among the candidates of the box of radius u.
+    """
+    n = len(points)
+    if n < 2:
+        return np.full(n, np.inf)
+    kd = cKDTree(points)
+    pair = kd.query(points, k=2)[1]
+    other = np.where(pair[:, 0] == np.arange(n), pair[:, 1], pair[:, 0])
+    out = np.empty(n)
+    for rows, cols in _box_query(kd, points, core.dist(points, points[other]),
+                                 tol):
+        d = core.dist(points[rows], points[cols])
+        d[rows == cols] = np.inf
+        first = _first_per_row(rows)
+        out[rows[first]] = np.minimum.reduceat(d, first)
+    return out
 
 
 def median_nn_distance(points):
     """Median nearest-neighbour distance in the group metric."""
-    pts = np.asarray(points, float)
-    n = len(pts)
-    if n < 2:
+    pts = np.asarray(points, float).reshape(-1, 3)
+    if len(pts) < 2:
         return 0.0
-    nn = np.full(n, np.inf)
-    for s, d in _row_blocks(pts, pts):
-        d[np.arange(len(d)), np.arange(s, s + len(d))] = np.inf
-        nn[s:s + len(d)] = d.min(axis=1)
-    return float(np.median(nn))
+    return float(np.median(_nn_distances(pts, _dist_error(pts))))
+
+
+def _diameter_bracket(points, tol):
+    """(lo, hi) around the sample diameter from two eccentricity rows.
+
+    lo is the eccentricity of the sample farthest from an anchor near
+    the median (a true pairwise distance); hi is twice the anchor's
+    eccentricity, widened by the rounding bound.
+    """
+    anchor = int(np.argmin(core.dist(points, np.median(points, axis=0))))
+    ecc = core.dist(points, points[anchor])
+    lo = float(core.dist(points, points[int(np.argmax(ecc))]).max())
+    hi = 2.0 * (float(ecc.max()) + tol) * (1.0 + BOX_SLACK) + tol
+    return lo, hi
+
+
+def _top_level(points, tol):
+    """Default j_max: two levels above ceil(log2(diameter)), at least 0.
+
+    The all-pairs diameter runs only when the bracket straddles the
+    power of two that decides it.
+    """
+    lo, hi = _diameter_bracket(points, tol)
+    if hi == 0:
+        return 0
+    k = math.ceil(math.log2(hi))
+    # log2 of anything in (2^(k-1) (1 + slack), 2^k] has ceiling k
+    if not (lo > 2.0 ** (k - 1) * (1.0 + BOX_SLACK) and hi <= 2.0 ** k):
+        diam = _diameter(points)
+        if diam == 0:
+            return 0
+        k = math.ceil(math.log2(diam))
+    return max(0, k + 2)
+
+
+def _dominates(points, tol, j_max):
+    """Whether 2^j_max >= the sample diameter."""
+    lo, hi = _diameter_bracket(points, tol)
+    if hi <= 2.0 ** j_max:
+        return True
+    if lo > 2.0 ** j_max:
+        return False
+    return _diameter(points) <= 2.0 ** j_max
 
 
 def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
@@ -141,29 +265,40 @@ def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
         raise ValueError("empty sample set")
     if len(points) != len(masses):
         raise ValueError("one mass per point required")
-    diam = _diameter(points)
+    tol = _dist_error(points)
     if j_max is None:
-        j_max = max(0, math.ceil(math.log2(diam)) + 2) if diam > 0 else 0
-    elif 2.0 ** j_max < diam:
+        j_max = _top_level(points, tol)
+    elif not _dominates(points, tol, j_max):
         raise ValueError("2^j_max must dominate the sample diameter")
+    nn = _nn_distances(points, tol)
     if j_min is None:
-        nn = median_nn_distance(points)
-        j_min = math.floor(math.log2(4 * nn)) if nn > 0 else j_max - 4
+        med = float(np.median(nn)) if len(points) > 1 else 0.0
+        j_min = math.floor(math.log2(4 * med)) if med > 0 else j_max - 4
     j_min = min(j_min, j_max)
 
+    # where no two samples are closer than the radius, the greedy loop
+    # would take every candidate
+    closest = nn.min()
+
+    def net(j, candidates):
+        if closest >= 2.0 ** (j - 2):
+            return candidates
+        return farthest_point_net(points, 2.0 ** (j - 2), candidates)
+
     # nested nets, finest first; each coarser net refines the previous
-    nets = {j_min: farthest_point_net(points, 2.0 ** (j_min - 2))}
+    nets = {j_min: net(j_min, np.arange(len(points)))}
     for j in range(j_min + 1, j_max + 1):
-        nets[j] = farthest_point_net(points, 2.0 ** (j - 2),
-                                     candidates=nets[j - 1])
+        nets[j] = net(j, nets[j - 1])
 
     # key[j][s]: center of the level-j cube holding sample s.  A sample
     # takes its nearest finest center, a center its nearest coarser net
-    # point (lowest index on ties); nets are sorted, so searchsorted
-    # finds each center's row
-    key = {j_min: nets[j_min][_nearest(points, points[nets[j_min]])]}
+    # point (lowest index on ties), found within the covering radius of
+    # that net; nets are sorted, so searchsorted finds each center's row
+    key = {j_min: nets[j_min][_nearest(points, points[nets[j_min]],
+                                       2.0 ** (j_min - 2), tol)]}
     for j in range(j_min, j_max):
-        up = nets[j + 1][_nearest(points[nets[j]], points[nets[j + 1]])]
+        up = nets[j + 1][_nearest(points[nets[j]], points[nets[j + 1]],
+                                  2.0 ** (j - 1), tol)]
         key[j + 1] = up[np.searchsorted(nets[j], key[j])]
 
     label, level, center_index, parent, mass = {}, [], [], [], []
@@ -190,24 +325,56 @@ def check_tree_invariants(tree: CubeTree):
 
     Returns the measured inner-ball constant c (distance from each
     center to the nearest outside sample, in units of 2^j, minimized
-    over cubes).
+    over cubes).  A cube whose samples all lie within 2^j / 2 of its
+    center (less the rounding bound) meets the diameter bound by the
+    triangle inequality; any other cube gets the all-pairs scan.
     """
-    inner_c = np.inf
+    points = tree.points
+    tol = _dist_error(points)
+    kd = cKDTree(points)
+    k = min(8, len(points))
+    near = kd.query(points, k=k)[1].reshape(len(points), k)
+    split = {}  # level -> (cube ids, centers) where there are >= 2 cubes
+    bound = np.inf  # an upper bound on c from a few outside samples
     for j in range(tree.j_min, tree.j_max + 1):
         lab = tree.label[j]
-        ids = tree.at_level(j)
+        ids = np.array(tree.at_level(j))
         if not np.array_equal(np.unique(lab), ids):
             raise AssertionError(f"level {j} is not an exact partition")
         up = tree.label[j + 1] if j < tree.j_max else -1
         if np.any(tree.parent[lab] != up):
             raise AssertionError(f"nesting violated at level {j}")
-        for cid in ids:
-            inside = lab == cid
-            if _diameter(tree.points[inside]) > 2.0 ** j:
+        reach = core.dist(points, points[tree.center_index[lab]])
+        uncertified = 2.0 * (reach + tol) * (1.0 + BOX_SLACK) + tol > 2.0 ** j
+        for cid in np.unique(lab[uncertified]).tolist():
+            if _diameter(points[lab == cid]) > 2.0 ** j:
                 raise AssertionError(f"diameter bound violated at level {j}")
-            if not inside.all():
-                gap = core.dist(tree.points[~inside], tree.center(cid)).min()
-                inner_c = min(inner_c, gap / 2.0 ** j)
+        if len(ids) < 2:
+            continue
+        centers = tree.center_index[ids]
+        split[j] = ids, centers
+        # outside samples among each center's Euclidean neighbours, or
+        # else every outside sample of the first cube
+        cand = near[centers]
+        out = lab[cand] != ids[:, None]
+        if out.any():
+            gap = core.dist(points[cand[out]],
+                            points[np.broadcast_to(centers[:, None],
+                                                   cand.shape)[out]]).min()
+        else:
+            gap = core.dist(points[lab != ids[0]], points[centers[0]]).min()
+        bound = min(bound, gap / 2.0 ** j)
+
+    # every cube whose constant is at most the bound finds its nearest
+    # outside sample in the box around its center
+    inner_c = np.inf
+    for j, (ids, centers) in split.items():
+        for rows, cols in _box_query(kd, points[centers],
+                                     np.full(len(ids), bound * 2.0 ** j), tol):
+            out = tree.label[j][cols] != ids[rows]
+            if out.any():
+                gap = core.dist(points[cols[out]], points[centers[rows[out]]])
+                inner_c = min(inner_c, gap.min() / 2.0 ** j)
     return float(inner_c)
 
 

@@ -341,14 +341,24 @@ def save_grid_graph(g: GridGraph, prefix):
 
 
 def load_grid_graph(prefix):
+    """Grid graph of <prefix>.json and <prefix>.csv (ny * nt rows, t fastest)."""
     with open(str(prefix) + ".json") as fh:
         meta = json.load(fh)
-    phi = np.zeros((meta["ny"], meta["nt"]))
-    mass = np.zeros_like(phi)
-    for k, (_, _, p, m) in enumerate(read_csv(str(prefix) + ".csv")):
-        phi[k // meta["nt"], k % meta["nt"]] = float(p)
-        mass[k // meta["nt"], k % meta["nt"]] = float(m)
-    return GridGraph(meta["y0"], meta["t0"], meta["dy"], meta["dt"], phi, mass)
+    path = str(prefix) + ".csv"
+    rows = read_csv(path)
+    if len(rows) != meta["ny"] * meta["nt"]:
+        raise ValueError(f"{path}: {len(rows)} rows, expected ny * nt = "
+                         f"{meta['ny'] * meta['nt']}")
+    for k, row in enumerate(rows, 1):
+        if len(row) != 4:
+            raise ValueError(f"{path}: row {k} has {len(row)} fields, expected 4")
+    values = np.array([[float(p), float(m)] for _, _, p, m in rows])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: row {bad[0] + 1} has a non-finite phi or mass")
+    values = values.reshape(meta["ny"], meta["nt"], 2)
+    return GridGraph(meta["y0"], meta["t0"], meta["dy"], meta["dt"],
+                     values[..., 0], values[..., 1])
 
 
 def save_point_set(ps: GraphPointSet, path):

@@ -308,6 +308,9 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
     counts = cover_counts(tree, flat, ball_multiplier)
     if cover_cutoff is None:
         if area_to_mass is None:
+            if root_mass <= 0:
+                raise ValueError("the root cube has no mass, so its area "
+                                 "per mass is undefined")
             root_area = projection_area(tree.points, subgroup,
                                         mask=root_samples)
             area_to_mass = max(root_area / root_mass, 1e-12)

@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from heisrect import cli
 
@@ -156,6 +157,60 @@ def test_custom_file_empty_and_truncated(tmp_path, capsys):
         assert err["error"]["detail"].endswith(detail)
 
 
+def run_custom_grid(tmp_path, capsys, edit):
+    """Run `cubes` on an affine n=9 grid graph whose CSV lines pass edit."""
+    rc = cli.main(["generate", "--scenario", "affine", "--config",
+                   str(write_config(tmp_path, {"n": 9})),
+                   "--out", str(tmp_path / "gen")])
+    assert rc == 0
+    lines = (tmp_path / "gen" / "graph.csv").read_text().splitlines(True)
+    assert len(lines) == 1 + 81
+    (tmp_path / "gen" / "graph.csv").write_text("".join(edit(lines)))
+    cfg = write_config(tmp_path, {"path": str(tmp_path / "gen" / "graph")})
+    capsys.readouterr()
+    rc = cli.main(["cubes", "--scenario", "custom_file", "--config",
+                   str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    return rc, json.loads(err.splitlines()[-1]) if err else None
+
+
+def write_config(tmp_path, params):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(params))
+    return path
+
+
+def nan_phi(lines):
+    y, t, _, m = lines[5].split(",")
+    return lines[:5] + [f"{y},{t},nan,{m}"] + lines[6:]
+
+
+@pytest.mark.parametrize("edit, detail", [
+    (lambda lines: lines[:40], "39 rows, expected ny * nt = 81"),
+    (lambda lines: lines + lines[1:3], "83 rows, expected ny * nt = 81"),
+    (nan_phi, "row 5 has a non-finite phi or mass"),
+], ids=["short", "long", "nan"])
+def test_custom_grid_rejects_bad_rows(tmp_path, capsys, edit, detail):
+    rc, err = run_custom_grid(tmp_path, capsys, edit)
+    assert rc == 3
+    assert err["error"]["kind"] == "numerical"
+    assert err["error"]["detail"].endswith("graph.csv: " + detail)
+
+
+def test_partition_rejects_massless_cloud(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("x,y,t,mass\n" + "".join(
+        f"{0.1 * k},{0.05 * k * k},{0.01 * k},0.0\n" for k in range(12)))
+    cfg = write_config(tmp_path, {"path": str(path)})
+    capsys.readouterr()
+    rc = cli.main(["partition", "--scenario", "custom_file", "--config",
+                   str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"]["kind"] == "numerical"
+    assert "no mass" in err["error"]["detail"]
+
+
 def test_cubes_rerun_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):
@@ -205,6 +260,14 @@ GOLDEN = {
     ("beta", "two_patch_union", '{"ny": 27}', ()): {
         "beta_records.csv": "39444400bcd839570d46d23c55fda13a"
                             "7d619195616bc8a964003100b5517261",
+    },
+    ("cubes", "perturbed", '{"n": 36}', ()): {
+        "cubes.json": "e7d2bce980a2edaf47cb29afcf70d426"
+                      "a20959916a6d25cbc60e0f7ac40aeebc",
+        "carleson.csv": "25de9da631a8e40d99bd3297178d289f"
+                        "3cdbe66f833e505db1e7cdd74cacad1b",
+        "cubes_summary.json": "7d61d235dbc56d8303de5e27b12d5890"
+                              "ba5f57f8a1d0b6802443049d3ec3ba7c",
     },
 }
 

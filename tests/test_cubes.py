@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,138 @@ def test_tree_properties_random_clouds(cloud):
         assert all(tree.parent[ch] == cid for ch in tree.children(cid))
         if tree.parent[cid] >= 0:
             assert cid in tree.children(tree.parent[cid])
+
+
+# blocked all-pairs oracles: the scans the local kernels replace
+
+def blocked_rows(points, others):
+    for s in range(0, len(points), 512):
+        yield s, core.dist(points[s:s + 512, None, :], others[None, :, :])
+
+
+def blocked_nearest(points, targets):
+    out = np.empty(len(points), dtype=int)
+    for s, d in blocked_rows(points, targets):
+        out[s:s + len(d)] = np.argmin(d, axis=1)
+    return out
+
+
+def blocked_median_nn(points):
+    n = len(points)
+    if n < 2:
+        return 0.0
+    nn = np.full(n, np.inf)
+    for s, d in blocked_rows(points, points):
+        d[np.arange(len(d)), np.arange(s, s + len(d))] = np.inf
+        nn[s:s + len(d)] = d.min(axis=1)
+    return float(np.median(nn))
+
+
+def blocked_diameter(points):
+    return max(float(d.max()) for _, d in blocked_rows(points, points))
+
+
+def blocked_top_level(points):
+    diam = blocked_diameter(points)
+    return max(0, math.ceil(math.log2(diam)) + 2) if diam > 0 else 0
+
+
+def blocked_invariants(tree):
+    inner_c = np.inf
+    for j in range(tree.j_min, tree.j_max + 1):
+        lab = tree.label[j]
+        ids = tree.at_level(j)
+        if not np.array_equal(np.unique(lab), ids):
+            raise AssertionError(f"level {j} is not an exact partition")
+        up = tree.label[j + 1] if j < tree.j_max else -1
+        if np.any(tree.parent[lab] != up):
+            raise AssertionError(f"nesting violated at level {j}")
+        for cid in ids:
+            inside = lab == cid
+            if blocked_diameter(tree.points[inside]) > 2.0 ** j:
+                raise AssertionError(f"diameter bound violated at level {j}")
+            if not inside.all():
+                gap = core.dist(tree.points[~inside], tree.center(cid)).min()
+                inner_c = min(inner_c, gap / 2.0 ** j)
+    return float(inner_c)
+
+
+@st.composite
+def offset_clouds(draw):
+    """small_clouds moved far from the origin, some dilated so that their
+    diameter sits at, just above or just below a power of two."""
+    pts, masses = draw(small_clouds())
+    a, b = draw(st.sampled_from([(0.0, 0.0), (300.0, -200.0), (1e3, 1e3)]))
+    pts = core.mul(np.array([a, b, draw(st.sampled_from([0.0, 1e3, -1e5]))]),
+                   pts)
+    diam = blocked_diameter(pts)
+    rel = draw(st.sampled_from([None, 0.0, 1e-12, -1e-12, 1e-7, -1e-7]))
+    if rel is not None and diam > 0:
+        target = 2.0 ** round(math.log2(diam)) * (1 + rel)
+        pts = core.dilate(target / diam, pts)
+    return pts, masses
+
+
+@settings(deadline=None, max_examples=60)
+@given(offset_clouds())
+def test_local_kernels_match_blocked_oracles(cloud):
+    pts, masses = cloud
+    tol = cubes._dist_error(pts)
+    assert cubes.median_nn_distance(pts) == blocked_median_nn(pts)
+    top = blocked_top_level(pts)
+    assert cubes._top_level(pts, tol) == top
+    diam = blocked_diameter(pts)
+    for j in (top - 3, top - 2, top - 1):
+        assert cubes._dominates(pts, tol, j) == (2.0 ** j >= diam)
+    if 2.0 ** (top - 3) < diam:
+        with pytest.raises(ValueError, match="must dominate"):
+            cubes.build_cubes(pts, masses, j_max=top - 3)
+    tree = cubes.build_cubes(pts, masses)
+    assert tree.j_max == top
+    # centre assignment, both uses: samples to the finest net, and the
+    # centres of one level to the net above
+    for j in (tree.j_min, tree.j_min + 1):
+        fine = cubes.farthest_point_net(pts, 2.0 ** (j - 2))
+        coarse = cubes.farthest_point_net(pts, 2.0 ** (j - 1), fine)
+        assert np.array_equal(
+            cubes._nearest(pts, pts[fine], 2.0 ** (j - 2), tol),
+            blocked_nearest(pts, pts[fine]))
+        assert np.array_equal(
+            cubes._nearest(pts[fine], pts[coarse], 2.0 ** (j - 1), tol),
+            blocked_nearest(pts[fine], pts[coarse]))
+    got = cubes.check_tree_invariants(tree)
+    want = blocked_invariants(tree)
+    assert got == want or (np.isinf(got) and np.isinf(want))
+    for cid in range(len(tree)):
+        j = tree.level[cid]
+        assert np.array_equal(tree.samples(cid),
+                              np.flatnonzero(tree.label[j] == cid))
+        assert tree.children(cid) == np.flatnonzero(tree.parent == cid).tolist()
+
+
+def test_top_level_falls_back_at_a_power_of_two(monkeypatch):
+    calls = []
+    diameter = cubes._diameter
+    monkeypatch.setattr(cubes, "_diameter",
+                        lambda p: calls.append(len(p)) or diameter(p))
+    pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    tol = cubes._dist_error(pts)
+    assert cubes._top_level(pts, tol) == blocked_top_level(pts) == 2
+    assert cubes._dominates(pts, tol, 0)
+    assert calls == [3, 3]
+    with pytest.raises(ValueError, match="must dominate"):
+        cubes.build_cubes(pts, np.ones(3), j_max=-1)
+
+
+def test_inner_ball_without_outside_neighbours():
+    # two far clusters of 20 samples: at the level that splits them no
+    # center has an outside sample among its 8 Euclidean neighbours
+    rng = np.random.default_rng(3)
+    blob = rng.uniform(-0.05, 0.05, (20, 3))
+    pts = np.vstack([blob, core.mul(np.array([8.0, 0.0, 0.0]), blob)])
+    tree = cubes.build_cubes(pts, np.ones(40), j_min=1)
+    assert len(tree.at_level(1)) == 2
+    assert cubes.check_tree_invariants(tree) == blocked_invariants(tree)
 
 
 def test_mass_conservation(plane_tree):
