@@ -12,7 +12,6 @@ family.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import burgers, core, graphs, planes
 
@@ -185,6 +184,32 @@ def points_in_ball(points, ball: Ball):
     return core.dist(pts, ball.center) <= ball.radius
 
 
+def _inside_balls(xyt, centers, radii):
+    """Mask core.dist(p, c) <= r of a block of balls against all samples.
+
+    xyt holds the samples' x, y and t rows, shape (3, n); row b of the
+    (balls, n) mask is ball (centers[b], radii[b]).  The relative
+    position (-c) . p and its norm take the floating-point operations of
+    core.mul(core.inv(c), p) and core.norm in the same order, evaluated
+    in place in two (balls, n) buffers, so the mask is bit for bit the
+    one core.dist gives.
+    """
+    neg = -np.asarray(centers, float).reshape(-1, 3)
+    cx, cy, ct = neg[:, 0:1], neg[:, 1:2], neg[:, 2:3]
+    r = np.asarray(radii, float).reshape(-1, 1)
+    x, y, t = xyt
+    a = np.add(cx, x)
+    b = np.add(cy, y)
+    inside = np.hypot(a, b, out=a) <= r
+    np.multiply(cx, y, out=a)
+    a -= np.multiply(cy, x, out=b)
+    a *= 0.5
+    np.add(ct, t, out=b)
+    b += a
+    inside &= np.sqrt(np.abs(b, out=b), out=b) <= r
+    return inside
+
+
 def beta_vertical_batch(points, balls, method="calipers", n_dirs=720):
     """Exact vertical flatness records of a list of balls over one cloud.
 
@@ -194,26 +219,37 @@ def beta_vertical_batch(points, balls, method="calipers", n_dirs=720):
     width divided by r.  The samples are sorted by (x, y) once, so each
     ball's horizontal points come out of the membership test sorted;
     balls are then handled in chunks of at most CHUNK_PAIRS ball-sample
-    pairs (one ball at least), with one hull pass per chunk.
+    pairs (one ball at least).  Balls of a chunk that hold the same
+    samples (found by comparing whole mask rows) share one hull pass
+    and width scan, and each scales the shared width by its own radius.
     method='brute' runs the direction grid instead of calipers.
     Returns one record per ball, None for a ball holding no sample.
     """
     if method not in ("calipers", "brute"):
         raise ValueError(f"unknown method {method!r}")
     pts = np.asarray(points, float).reshape(-1, 3)
+    if len(pts) == 0:
+        return [None] * len(balls)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     xy = np.ascontiguousarray(pts[:, :2])
-    step = max(1, CHUNK_PAIRS // max(len(pts), 1))
+    xyt = np.ascontiguousarray(pts.T)
+    step = max(1, CHUNK_PAIRS // len(pts))
     out = []
     for s in range(0, len(balls), step):
         chunk = balls[s:s + step]
-        centers = np.array([ball.center for ball in chunk])
-        radii = np.array([ball.radius for ball in chunk], float)
-        inside = core.dist(pts[None, :, :], centers[:, None, :]) <= radii[:, None]
-        seg, idx = np.nonzero(inside)
+        inside = _inside_balls(xyt, [ball.center for ball in chunk],
+                               [ball.radius for ball in chunk])
+        # one void value per packed row, so np.unique compares whole
+        # rows byte by byte; first[w] is a ball holding member set w
+        rows = np.packbits(inside, axis=1)
+        rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+        _, first, which = np.unique(rows, return_index=True,
+                                    return_inverse=True)
+        seg, idx = np.divmod(np.flatnonzero(inside[first]), len(pts))
         # np.take gathers rows several times faster than fancy indexing
         hulls = _segment_hulls(np.take(xy, idx, axis=0), seg)
-        scans = _segment_widths(len(chunk), *hulls, method, n_dirs)
+        per_set = _segment_widths(len(first), *hulls, method, n_dirs)
+        scans = [per_set[w] for w in which.tolist()]
         out += [None if scan is None else BetaRecord(
                     ball, 0.5 * scan[0] / ball.radius,
                     planes.VerticalPlane(planes.VerticalSubgroup(scan[1]),
@@ -297,6 +333,9 @@ def beta_cg_estimate(g: graphs.GridGraph, ball: Ball, lipschitz: float,
     is an upper bound only.  Setting `target` stops the multi-start
     early once the bound falls below it.  Returns (value, report).
     """
+    # imported on first use: no CLI command needs it, and it is slow to load
+    from scipy.optimize import minimize
+
     ii, jj = projected_ball_nodes(g, ball)
     if len(ii) == 0:
         raise ValueError("no graph samples in the ball")

@@ -341,22 +341,39 @@ def save_grid_graph(g: GridGraph, prefix):
 
 
 def load_grid_graph(prefix):
-    """Grid graph of <prefix>.json and <prefix>.csv (ny * nt rows, t fastest)."""
+    """Grid graph of <prefix>.json and <prefix>.csv (ny * nt rows, t fastest).
+
+    Row k must sit at grid node (k // nt, k % nt): its y and t may differ
+    from y0 + dy * (k // nt) and t0 + dt * (k % nt) by at most 1e-6 of a
+    step, so rows in another order are rejected, not misplaced.
+    """
     with open(str(prefix) + ".json") as fh:
         meta = json.load(fh)
     path = str(prefix) + ".csv"
     rows = read_csv(path)
-    if len(rows) != meta["ny"] * meta["nt"]:
+    ny, nt = meta["ny"], meta["nt"]
+    if len(rows) != ny * nt:
         raise ValueError(f"{path}: {len(rows)} rows, expected ny * nt = "
-                         f"{meta['ny'] * meta['nt']}")
+                         f"{ny * nt}")
     for k, row in enumerate(rows, 1):
         if len(row) != 4:
             raise ValueError(f"{path}: row {k} has {len(row)} fields, expected 4")
-    values = np.array([[float(p), float(m)] for _, _, p, m in rows])
-    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    values = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 4)
+    bad = np.flatnonzero(~np.isfinite(values[:, 2:]).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}: row {bad[0] + 1} has a non-finite phi or mass")
-    values = values.reshape(meta["ny"], meta["nt"], 2)
+    i, j = np.divmod(np.arange(len(rows)), nt)
+    node = np.column_stack([meta["y0"] + meta["dy"] * i,
+                            meta["t0"] + meta["dt"] * j])
+    tol = 1e-6 * np.abs([meta["dy"], meta["dt"]])
+    bad = np.flatnonzero(~(np.abs(values[:, :2] - node) <= tol).all(axis=1))
+    if len(bad):
+        k = bad[0]
+        raise ValueError(f"{path}: row {k + 1} has (y, t) = "
+                         f"({values[k, 0]}, {values[k, 1]}), expected "
+                         f"grid node ({i[k]}, {j[k]}) at "
+                         f"({node[k, 0]}, {node[k, 1]})")
+    values = values[:, 2:].reshape(ny, nt, 2)
     return GridGraph(meta["y0"], meta["t0"], meta["dy"], meta["dt"],
                      values[..., 0], values[..., 1])
 

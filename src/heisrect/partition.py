@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import beta as beta_mod
 from . import core, graphs, planes
 from .cubes import CubeTree
 
@@ -130,11 +131,20 @@ def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
 
 
 def cover_counts(tree: CubeTree, flat_violators, ball_multiplier=4.0):
-    """Per sample, how many violator balls B_Q contain it."""
+    """Per sample, how many violator balls B_Q contain it.
+
+    The balls go through the membership kernel of the flatness batch in
+    chunks of at most beta.CHUNK_PAIRS ball-sample pairs.
+    """
+    cids = np.asarray(flat_violators, dtype=int)
+    centers = tree.points[tree.center_index[cids]]
+    radii = ball_multiplier * 2.0 ** tree.level[cids]
+    xyt = np.ascontiguousarray(tree.points.T)
     counts = np.zeros(len(tree.points), dtype=int)
-    for cid in flat_violators:
-        ball_r = ball_multiplier * 2.0 ** int(tree.level[cid])
-        counts[core.dist(tree.points, tree.center(cid)) <= ball_r] += 1
+    step = max(1, beta_mod.CHUNK_PAIRS // max(len(tree.points), 1))
+    for s in range(0, len(cids), step):
+        counts += beta_mod._inside_balls(xyt, centers[s:s + step],
+                                         radii[s:s + step]).sum(axis=0)
     return counts
 
 

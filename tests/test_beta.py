@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -186,6 +187,98 @@ def test_batch_matches_per_ball_oracle(case):
             assert rec.ball is balls[k]
             assert _bits((rec.beta, rec.best_plane.subgroup.theta,
                           rec.best_plane.offset)) == _bits(ref)
+
+
+@st.composite
+def shared_member_balls(draw):
+    """A cloud and a ball list in which many balls hold the same samples.
+
+    Grid samples, some sharing their (x, y) with another sample, some
+    jittered off the grid so that rounding shows, all moved by a left
+    translation.  Around each drawn center the radii are concentric and
+    nested: the exact distances of drawn samples (boundary ties), their
+    halves and doubles, and a radius holding the whole cloud; a far
+    center gives an empty ball.  The list repeats its balls in a drawn
+    order, and `step` is the number of balls per chunk, so equal member
+    sets fall inside one chunk and straddle chunk borders.
+    """
+    n = draw(st.integers(1, 40))
+    grid = st.integers(-16, 16)
+    pts = np.array(draw(st.lists(st.tuples(grid, grid, grid), min_size=n,
+                                 max_size=n)), float) / 8.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        pts[dst, :2] = pts[src, :2]
+    jitter = draw(st.sampled_from([0.0, 1e-3, 0.3]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    pts += jitter * np.random.default_rng(seed).uniform(-1, 1, pts.shape)
+    shift = draw(st.sampled_from([(0.0, 0.0, 0.0), (300.0, -200.0, 1e3),
+                                  (1e3, 1e3, -1e5)]))
+    pts = core.mul(np.array(shift), pts)
+    balls = []
+    for c in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        center = pts[c]
+        d = core.dist(pts, center)
+        for k in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=4)):
+            if d[k] > 0:
+                balls += [beta.Ball(center, s * d[k]) for s in (0.5, 1, 2)]
+        balls.append(beta.Ball(center, 1e3))
+    balls.append(beta.Ball(core.mul(np.array(shift), [1e6, 0, 0]), 1.0))
+    order = draw(st.lists(st.integers(0, len(balls) - 1), min_size=1,
+                          max_size=3 * len(balls)))
+    return pts, [balls[k] for k in order], draw(st.integers(1, 7))
+
+
+@settings(deadline=None, max_examples=80)
+@given(shared_member_balls())
+def test_inside_balls_matches_core_dist(case):
+    # the drawn balls, plus around each center one ball through every
+    # sample, so each sample sits on some ball's boundary
+    pts, balls, _ = case
+    centers = np.array([ball.center for ball in balls])
+    ring = core.dist(pts[None, :, :], centers[:, None, :]).ravel()
+    centers = np.vstack([centers, np.repeat(centers, len(pts), axis=0)])
+    radii = np.concatenate([[ball.radius for ball in balls], ring])
+    want = core.dist(pts[None, :, :], centers[:, None, :]) <= radii[:, None]
+    got = beta._inside_balls(np.ascontiguousarray(pts.T), centers, radii)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=80)
+@given(shared_member_balls())
+def test_batch_shares_scans_and_matches_single_balls(case):
+    """Each chunk scans each distinct member set once, and every record
+    equals the one-ball batch bit for bit."""
+    pts, balls, step = case
+    scanned = []
+    widths = beta._segment_widths
+
+    def counting(n_seg, *args):
+        scanned.append(n_seg)
+        return widths(n_seg, *args)
+
+    with mock.patch.object(beta, "CHUNK_PAIRS", step * len(pts)), \
+            mock.patch.object(beta, "_segment_widths", counting):
+        got = beta.beta_vertical_batch(pts, balls)
+    assert len(got) == len(balls)
+    masks = [tuple(core.dist(pts, ball.center) <= ball.radius)
+             for ball in balls]
+    assert scanned == [len(set(masks[s:s + step]))
+                       for s in range(0, len(balls), step)]
+    for ball, rec in zip(balls, got):
+        try:
+            want = beta.beta_vertical(pts, ball)
+        except ValueError:
+            assert rec is None
+            continue
+        assert rec.ball is ball and rec.method == want.method
+        assert _bits((rec.beta, rec.best_plane.subgroup.theta,
+                      rec.best_plane.offset)) == \
+            _bits((want.beta, want.best_plane.subgroup.theta,
+                   want.best_plane.offset))
 
 
 def test_affine_scenario_balls_flat(tmp_path):

@@ -189,7 +189,13 @@ def nan_phi(lines):
     (lambda lines: lines[:40], "39 rows, expected ny * nt = 81"),
     (lambda lines: lines + lines[1:3], "83 rows, expected ny * nt = 81"),
     (nan_phi, "row 5 has a non-finite phi or mass"),
-], ids=["short", "long", "nan"])
+    (lambda lines: lines[:1] + lines[:0:-1],
+     "row 1 has (y, t) = (1.0, 1.0), expected grid node (0, 0) at "
+     "(-1.0, -1.0)"),
+    (lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:],
+     "row 2 has (y, t) = (-1.0, -0.5), expected grid node (0, 1) at "
+     "(-1.0, -0.75)"),
+], ids=["short", "long", "nan", "reversed", "swapped"])
 def test_custom_grid_rejects_bad_rows(tmp_path, capsys, edit, detail):
     rc, err = run_custom_grid(tmp_path, capsys, edit)
     assert rc == 3

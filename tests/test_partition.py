@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heisrect import burgers, cli, core, cubes, graphs, partition, planes
+from heisrect import beta, burgers, cli, core, cubes, graphs, partition, planes
 
 W_YT = planes.subgroup_y_t()
 
@@ -92,6 +95,45 @@ def test_classify_huge_b_degenerates(affine_tree):
                                    partition.cover_counts(tree, flat))
     assert cls.area_violators == [root]
     assert set(cls.removed_area) == set(tree.samples(root))
+
+
+def loop_cover_counts(tree, flat_violators, ball_multiplier=4.0):
+    """Oracle: one core.dist pass over all samples per violator ball."""
+    counts = np.zeros(len(tree.points), dtype=int)
+    for cid in flat_violators:
+        ball_r = ball_multiplier * 2.0 ** int(tree.level[cid])
+        counts[core.dist(tree.points, tree.center(cid)) <= ball_r] += 1
+    return counts
+
+
+@st.composite
+def trees_and_violators(draw):
+    """A cube tree over up to 40 grid samples (some duplicated), moved by
+    a left translation, a list of violator cubes and a chunk size."""
+    n = draw(st.integers(1, 40))
+    grid = st.integers(-16, 16)
+    pts = np.array(draw(st.lists(st.tuples(grid, grid, grid), min_size=n,
+                                 max_size=n)), float) / 8.0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=n // 2)):
+        pts[dst] = pts[src]
+    shift = draw(st.sampled_from([(0.0, 0.0, 0.0), (300.0, -200.0, 1e3)]))
+    tree = cubes.build_cubes(core.mul(np.array(shift), pts), np.ones(n))
+    flat = draw(st.lists(st.integers(0, len(tree) - 1), max_size=30))
+    multiplier = draw(st.sampled_from([0.5, 1.0, 4.0]))
+    return tree, flat, multiplier, draw(st.integers(1, 5))
+
+
+@settings(deadline=None, max_examples=60)
+@given(trees_and_violators())
+def test_cover_counts_matches_per_violator_loop(case):
+    tree, flat, multiplier, step = case
+    with mock.patch.object(beta, "CHUNK_PAIRS", step * len(tree.points)):
+        got = partition.cover_counts(tree, flat, multiplier)
+    want = loop_cover_counts(tree, flat, multiplier)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_classify_mass_bound_links_to_carleson(affine_tree):
