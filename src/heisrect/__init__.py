@@ -7,4 +7,3 @@ pipeline."""
 __version__ = "0.1.0"
 
 from . import beta, burgers, core, cubes, graphs, partition, planes
-from .tolerances import DEFAULT as TOLERANCE

@@ -32,7 +32,6 @@ class BetaRecord:
     ball: Ball
     beta: float
     best_plane: planes.VerticalPlane
-    method: str
 
 
 # Ball-sample pairs per membership chunk of beta_vertical_batch; keeps
@@ -113,10 +112,10 @@ def convex_hull(points):
     return _one_segment_hull(points)[0]
 
 
-def brute_min_width(points, n_dirs=720):
+def brute_min_width(points, n_directions=720):
     """Direction-grid oracle for min_width_direction."""
     pts = np.asarray(points, float).reshape(-1, 2)
-    thetas = np.linspace(0.0, np.pi, n_dirs, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, n_directions, endpoint=False)
     normals = np.stack([-np.sin(thetas), np.cos(thetas)], axis=-1)
     proj = pts @ normals.T
     widths = proj.max(axis=0) - proj.min(axis=0)
@@ -125,16 +124,14 @@ def brute_min_width(points, n_dirs=720):
     return float(widths[k]), float(thetas[k]), float(0.5 * (along.max() + along.min()))
 
 
-def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg, method="calipers",
-                    n_dirs=720):
+def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
     """(width, theta, offset) of every segment, None for an empty one.
 
     Takes the output of _segment_hulls.  The optimal normal is
     perpendicular to some hull edge, so scanning edges is exact: per
     segment, the width along each edge normal is the spread of
     `hull @ normals.T`, and the offset is the midrange of the segment's
-    distinct points along the best normal.  method='brute' runs the
-    direction grid instead.
+    distinct points along the best normal.
     """
     ids = np.arange(n_seg + 1)
     h_at = np.searchsorted(hull_seg, ids).tolist()
@@ -153,8 +150,6 @@ def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg, method="calipers",
         h0, h1 = h_at[b], h_at[b + 1]
         if h0 == h1:
             out.append(None)
-        elif method == "brute":
-            out.append(brute_min_width(pts[p_at[b]:p_at[b + 1]], n_dirs))
         elif h1 - h0 == 1:
             out.append((0.0, 0.0, float(hull[h0] @ np.array([0.0, 1.0]))))
         else:
@@ -210,7 +205,7 @@ def _inside_balls(xyt, centers, radii):
     return inside
 
 
-def beta_vertical_batch(points, balls, method="calipers", n_dirs=720):
+def beta_vertical_batch(points, balls):
     """Exact vertical flatness records of a list of balls over one cloud.
 
     Minimizes sup_y dist(y, z . W) / r over all vertical planes; for a
@@ -222,11 +217,8 @@ def beta_vertical_batch(points, balls, method="calipers", n_dirs=720):
     pairs (one ball at least).  Balls of a chunk that hold the same
     samples (found by comparing whole mask rows) share one hull pass
     and width scan, and each scales the shared width by its own radius.
-    method='brute' runs the direction grid instead of calipers.
     Returns one record per ball, None for a ball holding no sample.
     """
-    if method not in ("calipers", "brute"):
-        raise ValueError(f"unknown method {method!r}")
     pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) == 0:
         return [None] * len(balls)
@@ -248,46 +240,49 @@ def beta_vertical_batch(points, balls, method="calipers", n_dirs=720):
         seg, idx = np.divmod(np.flatnonzero(inside[first]), len(pts))
         # np.take gathers rows several times faster than fancy indexing
         hulls = _segment_hulls(np.take(xy, idx, axis=0), seg)
-        per_set = _segment_widths(len(first), *hulls, method, n_dirs)
+        per_set = _segment_widths(len(first), *hulls)
         scans = [per_set[w] for w in which.tolist()]
         out += [None if scan is None else BetaRecord(
                     ball, 0.5 * scan[0] / ball.radius,
                     planes.VerticalPlane(planes.VerticalSubgroup(scan[1]),
-                                         scan[2]), method)
+                                         scan[2]))
                 for ball, scan in zip(chunk, scans)]
     return out
 
 
-def beta_vertical(points, ball: Ball, method="calipers", n_dirs=720) -> BetaRecord:
+def beta_vertical(points, ball: Ball) -> BetaRecord:
     """Exact vertical flatness number of the samples inside one ball.
 
     The batch of one of beta_vertical_batch; raises ValueError on an
     empty intersection.
     """
-    rec = beta_vertical_batch(points, [ball], method, n_dirs)[0]
+    rec = beta_vertical_batch(points, [ball])[0]
     if rec is None:
         raise ValueError("no samples in the ball")
     return rec
 
 
 def save_beta_records(records, path):
-    """Record batch as CSV columns cx,cy,ct,r,beta,theta,offset,method."""
+    """Record batch as CSV columns cx,cy,ct,r,beta,theta,offset,method.
+
+    The method column always reads calipers, the one flatness kernel.
+    """
     graphs.write_csv(
         path, ["cx", "cy", "ct", "r", "beta", "theta", "offset", "method"],
         ([*map(float, (*rec.ball.center, rec.ball.radius, rec.beta,
                         rec.best_plane.subgroup.theta,
-                        rec.best_plane.offset)), rec.method]
+                        rec.best_plane.offset)), "calipers"]
          for rec in records))
 
 
 def load_beta_records(path):
     out = []
-    for cx, cy, ct, r, b, theta, offset, method in graphs.read_csv(path):
+    for cx, cy, ct, r, b, theta, offset, _ in graphs.read_csv(path):
         plane = planes.VerticalPlane(
             planes.VerticalSubgroup(float(theta)), float(offset))
         out.append(BetaRecord(Ball(np.array([float(cx), float(cy),
                                              float(ct)]), float(r)),
-                              float(b), plane, method))
+                              float(b), plane))
     return out
 
 

@@ -11,11 +11,13 @@ node.  Crossing characteristics mean shock formation and abort the
 solve.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GridGraph, intrinsic_gradient
+from .graphs import (GridGraph, all_graph_points, intrinsic_gradient,
+                     lipschitz_constant)
 
 
 class CrossingDetected(Exception):
@@ -233,8 +235,6 @@ def entire_cg_plane_fit(g: GridGraph, spread_tol=0.01):
 
 def save_spec(spec: CGSpec, path):
     """CGSpec as JSON: gradient constant, trace knots, window."""
-    import json
-
     with open(path, "w") as fh:
         json.dump({"c": spec.c,
                    "g_t": spec.g_t.tolist(), "g_v": spec.g_v.tolist(),
@@ -245,8 +245,6 @@ def save_spec(spec: CGSpec, path):
 
 
 def load_spec(path) -> CGSpec:
-    import json
-
     with open(path) as fh:
         d = json.load(fh)
     return CGSpec(d["c"], d["g_t"], d["g_v"],
@@ -284,8 +282,6 @@ def make_admissible(spec: CGSpec, ball, ny=41, nt=41, lipschitz_cap=None,
     the spec's knots cannot cover the window or when the estimate
     exceeds lipschitz_cap.
     """
-    from . import graphs as _graphs
-
     center, r = np.asarray(ball[0], float), float(ball[1])
     x0, y0c, t0c = center
     # projected center and reach of the full ball in chart coordinates
@@ -296,8 +292,8 @@ def make_admissible(spec: CGSpec, ball, ny=41, nt=41, lipschitz_cap=None,
                     (pc[0] - reach_y, pc[0] + reach_y),
                     (pc[1] - reach_t, pc[1] + reach_t))
     g = solve_cg(window, ny=ny, nt=nt)
-    pts = _graphs.all_graph_points(g).reshape(-1, 3)
-    est = _graphs.lipschitz_constant(pts[:: max(1, len(pts) // lip_samples)])
+    pts = all_graph_points(g).reshape(-1, 3)
+    est = lipschitz_constant(pts[:: max(1, len(pts) // lip_samples)])
     if lipschitz_cap is not None and est > lipschitz_cap:
         err = ValueError(
             f"candidate Lipschitz estimate {est} exceeds {lipschitz_cap}")

@@ -249,8 +249,9 @@ def cmd_verify(args, params):
     for k in range(5):
         cloud = np.random.default_rng(500 + k).uniform(-2, 2, (40, 3))
         ball = beta_mod.Ball(cloud[0], 4.0)
-        cal = beta_mod.beta_vertical(cloud, ball, method="calipers").beta
-        bru = beta_mod.beta_vertical(cloud, ball, method="brute").beta
+        cal = beta_mod.beta_vertical(cloud, ball).beta
+        inside = cloud[core.dist(cloud, ball.center) <= ball.radius]
+        bru = 0.5 * beta_mod.brute_min_width(inside[:, :2])[0] / ball.radius
         worst = max(worst, abs(cal - bru))
     checks["beta_oracle"] = bool(worst <= 1e-3)
 

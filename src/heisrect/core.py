@@ -10,6 +10,8 @@ and all metric notions use the homogeneous norm max(|z|, sqrt(|t|)).
 Every function is pure and broadcasts over leading axes.
 """
 
+import math
+
 import numpy as np
 
 HPoint = np.ndarray  # shape (..., 3), coordinates [x, y, t]
@@ -55,6 +57,20 @@ def norm(p: HPoint):
 def dist(p: HPoint, q: HPoint):
     """Left-invariant metric d(p, q) = ||q^-1 . p||."""
     return norm(mul(inv(q), p))
+
+
+def dist_error(points):
+    """Bound on the rounding of dist between two of the points.
+
+    The central term of mul rounds with absolute error at most
+    eps * (2 max|t| + max|z|^2); its square root dominates the relative
+    rounding of the horizontal part.  The bound scales with the data, so
+    a distance or norm at most this large is zero up to rounding.
+    """
+    points = np.asarray(points, float).reshape(-1, 3)
+    s = 2.0 * np.abs(points[:, 2]).max() + np.hypot(points[:, 0],
+                                                    points[:, 1]).max() ** 2
+    return 4.0 * math.sqrt(np.finfo(float).eps * float(s))
 
 
 def dilate(r, p: HPoint) -> HPoint:

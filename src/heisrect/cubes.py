@@ -26,7 +26,7 @@ from . import beta as beta_mod
 from . import core, graphs
 
 # relative widening of every neighbourhood box, for the rounding of the
-# box edges and of |z| on top of _dist_error's bound
+# box edges and of |z| on top of core.dist_error's bound
 BOX_SLACK = 1e-9
 
 
@@ -123,18 +123,6 @@ def _diameter(points):
                for s in range(0, len(points), 512))
 
 
-def _dist_error(points):
-    """Bound on |core.dist - exact distance| between two of the points.
-
-    The central term of core.mul rounds with absolute error at most
-    eps * (2 max|t| + max|z|^2); its square root dominates the relative
-    rounding of the horizontal part.
-    """
-    s = 2.0 * np.abs(points[:, 2]).max() + np.hypot(points[:, 0],
-                                                    points[:, 1]).max() ** 2
-    return 4.0 * math.sqrt(np.finfo(float).eps * float(s))
-
-
 def _box_query(kd, centers, radii, tol):
     """Indices of every kd point whose core.dist to a center may be <= r.
 
@@ -204,7 +192,7 @@ def median_nn_distance(points):
     pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) < 2:
         return 0.0
-    return float(np.median(_nn_distances(pts, _dist_error(pts))))
+    return float(np.median(_nn_distances(pts, core.dist_error(pts))))
 
 
 def _diameter_bracket(points, tol):
@@ -265,7 +253,7 @@ def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
         raise ValueError("empty sample set")
     if len(points) != len(masses):
         raise ValueError("one mass per point required")
-    tol = _dist_error(points)
+    tol = core.dist_error(points)
     if j_max is None:
         j_max = _top_level(points, tol)
     elif not _dominates(points, tol, j_max):
@@ -330,7 +318,7 @@ def check_tree_invariants(tree: CubeTree):
     triangle inequality; any other cube gets the all-pairs scan.
     """
     points = tree.points
-    tol = _dist_error(points)
+    tol = core.dist_error(points)
     kd = cKDTree(points)
     k = min(8, len(points))
     near = kd.query(points, k=k)[1].reshape(len(points), k)

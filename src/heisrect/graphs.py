@@ -170,18 +170,20 @@ def curvature_interp_error(g: GridGraph):
     return float(err)
 
 
-def _pair_norms(points, max_pairs, block=256):
-    """Yield (||d_W||, ||d_V||) for ordered pair differences, blocked.
+# Ordered pairs per block of _pair_norms (256 rows at 2,048 points);
+# keeps its temporaries to a few tens of MB at any cloud size.
+PAIR_BUDGET = 2 ** 19
 
+
+def _pair_norms(pts):
+    """Yield (||d_W||, ||d_V||) for every ordered pair difference, blocked.
+
+    A block holds PAIR_BUDGET // n rows of n pairs (one row at least).
     The diagonal carries (inf, 0) so zero pairs never win a quotient.
-    Pairs are subsampled deterministically above max_pairs.
     """
-    pts = np.asarray(points, float).reshape(-1, 3)
-    if len(pts) ** 2 > max_pairs:
-        stride = int(np.ceil(len(pts) / np.sqrt(max_pairs)))
-        pts = pts[::stride]
     W = planes.subgroup_y_t()
     n = len(pts)
+    block = max(1, PAIR_BUDGET // n)
     for start in range(0, n, block):
         chunk = pts[start:start + block]
         d = core.mul(core.inv(chunk[:, None, :]), pts[None, :, :])
@@ -194,40 +196,38 @@ def _pair_norms(points, max_pairs, block=256):
         yield wn, vn
 
 
-def lipschitz_constant(points, max_pairs=4_000_000):
-    """Sampled intrinsic Lipschitz estimate of a point cloud.
+def lipschitz_constant(points):
+    """Intrinsic Lipschitz constant of a point cloud over every ordered pair.
 
-    Largest quotient ||(x^-1 y)_V|| / ||(x^-1 y)_W|| over ordered pairs;
-    the cloud then satisfies the cone condition for every aperture
-    alpha < 1 / L.  Returns inf when two points share a vertical
-    projection (the cloud is not a graph over W).  Pairs are subsampled
-    deterministically above max_pairs.
+    Largest quotient ||(x^-1 y)_V|| / ||(x^-1 y)_W||, the reciprocal of
+    cone_aperture; the cloud then satisfies the cone condition for every
+    aperture alpha < 1 / L.  Returns inf when two points share a
+    vertical projection up to rounding (the cloud is not a graph over
+    W), 0 when the cloud lies in a single coset of W.
     """
     pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) < 2:
         raise ValueError("need at least two points")
-    best = 0.0
-    for wn, vn in _pair_norms(pts, max_pairs):
-        if np.any((wn == 0) & (vn > 0)):
-            return np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            best = max(best, float(np.max(np.where(wn > 0, vn / wn, 0.0))))
-    return best
+    alpha = cone_aperture(pts)
+    return np.inf if alpha == 0 else 1.0 / alpha
 
 
-def cone_aperture(points, max_pairs=4_000_000):
+def cone_aperture(points):
     """Largest alpha such that every translated cone misses the rest.
 
-    Exact infimum of ||(x^-1 y)_W|| / ||(x^-1 y)_V|| over ordered pairs;
-    0 when two points share a vertical projection, inf when the cloud
-    lies in a single coset of W.
+    Exact infimum of ||(x^-1 y)_W|| / ||(x^-1 y)_V|| over every ordered
+    pair; inf when the cloud lies in a single coset of W.  Two points
+    share a vertical projection, and the aperture is 0, when
+    ||(x^-1 y)_W|| is at most the rounding bound core.dist_error of the
+    cloud while ||(x^-1 y)_V|| exceeds it.
     """
     pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) < 2:
         return np.inf
+    tol = core.dist_error(pts)
     best = np.inf
-    for wn, vn in _pair_norms(pts, max_pairs):
-        if np.any((wn == 0) & (vn > 0)):
+    for wn, vn in _pair_norms(pts):
+        if np.any((wn <= tol) & (vn > tol)):
             return 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.where(vn > 0, wn / np.where(vn > 0, vn, 1.0), np.inf)

@@ -271,20 +271,21 @@ class PieceReport:
     graph_ok: bool
 
 
-def verify_pieces(points, pieces, max_pairs=4_000_000):
+def verify_pieces(points, pieces):
     """Cone aperture and projection-injectivity check per piece.
 
-    aperture is the exact infimum over ordered pairs of the cone
-    quotient (see graphs.cone_aperture); a positive value certifies
-    that every translated cone of that aperture meets the piece only at
-    its vertex.  graph_ok fails exactly when two samples share a
-    vertical projection.
+    aperture is the exact infimum over every ordered pair of the piece
+    of the cone quotient (see graphs.cone_aperture); a positive value
+    certifies that every translated cone of that aperture meets the
+    piece only at its vertex.  graph_ok fails exactly when two samples
+    share a vertical projection up to the piece's rounding bound
+    core.dist_error.
     """
     points = np.asarray(points, float).reshape(-1, 3)
     out = []
     for code in sorted(pieces):
         idx = pieces[code]
-        alpha = graphs.cone_aperture(points[idx], max_pairs=max_pairs)
+        alpha = graphs.cone_aperture(points[idx])
         out.append(PieceReport(code, idx, alpha, bool(alpha > 0)))
     return out
 
@@ -314,6 +315,9 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
     subgroup = subgroup or planes.subgroup_y_t()
     root_samples = tree.samples(root_id)
     root_mass = float(tree.mass[root_id])
+    cell = 2.0 * median_projected_spacing(tree.points, subgroup)
+    root_area = projection_area(tree.points, subgroup, mask=root_samples,
+                                cell=cell)
     flat = flatness_violators(tree, root_id, beta_of, eps)
     counts = cover_counts(tree, flat, ball_multiplier)
     if cover_cutoff is None:
@@ -321,25 +325,21 @@ def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
             if root_mass <= 0:
                 raise ValueError("the root cube has no mass, so its area "
                                  "per mass is undefined")
-            root_area = projection_area(tree.points, subgroup,
-                                        mask=root_samples)
             area_to_mass = max(root_area / root_mass, 1e-12)
         cover_cutoff = choose_cover_cutoff(tree, root_id, counts,
                                            area_to_mass, b)
     cfg = GoodnessConfig(b, cover_cutoff, subgroup)
-    cls = classify_cubes(tree, root_id, cfg, flat, counts)
+    cls = classify_cubes(tree, root_id, cfg, flat, counts, cell)
     removed = np.union1d(cls.removed_area, cls.removed_cover)
     coding = coding_partition(tree, root_id, cls.flat_violators, removed,
                               ball_multiplier)
     reports = verify_pieces(tree.points, coding.pieces)
-    root_area = projection_area(tree.points, cfg.subgroup,
-                                mask=root_samples, cell=cls.cell)
     covered = np.concatenate([r.indices for r in reports]
                              or [np.array([], dtype=int)])
     uncovered = np.setdiff1d(root_samples, covered)
     uncovered_area = 0.0
     if len(uncovered) > 0:
-        uncovered_area = projection_area(tree.points, cfg.subgroup,
-                                         mask=uncovered, cell=cls.cell)
+        uncovered_area = projection_area(tree.points, subgroup,
+                                         mask=uncovered, cell=cell)
     return PipelineResult(cls, coding, reports, uncovered_area, root_mass,
                           root_area, cover_cutoff)

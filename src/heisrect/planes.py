@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .tolerances import DEFAULT as TOL
 
 
 def _snap(v, eps=1e-15):
@@ -128,7 +127,8 @@ def in_cone(base, p, cone: ConeSpec) -> bool:
 def shear(p, w, subgroup: VerticalSubgroup):
     """The map P_p(w) = pi_W(p . w) on W; unit Jacobian, inverse P_{p^-1}."""
     w = np.asarray(w, float)
-    if not TOL.close(dist_to_plane(w, VerticalPlane(subgroup, 0.0)), 0.0):
+    off = dist_to_plane(w, VerticalPlane(subgroup, 0.0))
+    if not np.all(off <= 1e-12 + 1e-9 * off):
         raise ValueError("shear argument must lie on the subgroup")
     return project_w(core.mul(core.as_point(p), w), subgroup)
 

@@ -115,9 +115,9 @@ def test_criterion_04_beta_oracle_equivalence():
         rng = np.random.default_rng(400 + k)
         pts = rng.uniform(-2, 2, (rng.integers(4, 80), 3))
         ball = beta.Ball(pts[0], 4.0)
-        cal = beta.beta_vertical(pts, ball, method="calipers").beta
-        bru = beta.beta_vertical(pts, ball, method="brute").beta
+        cal = beta.beta_vertical(pts, ball).beta
         inside = pts[beta.points_in_ball(pts, ball)]
+        bru = 0.5 * beta.brute_min_width(inside[:, :2])[0] / ball.radius
         diam = float(np.ptp(inside[:, :2], axis=0).max()) * np.sqrt(2)
         tol = 1e-6 + (np.pi / 720) * diam / ball.radius
         assert bru >= cal - 1e-12

@@ -40,13 +40,13 @@ def test_calipers_match_brute_force():
         n = rng.integers(4, 60)
         pts3 = rng.uniform(-2, 2, (n, 3))
         ball = beta.Ball(pts3[0], 4.0)
-        cal = beta.beta_vertical(pts3, ball, method="calipers")
-        bru = beta.beta_vertical(pts3, ball, method="brute")
+        cal = beta.beta_vertical(pts3, ball).beta
         inside = pts3[beta.points_in_ball(pts3, ball)]
+        bru = 0.5 * beta.brute_min_width(inside[:, :2])[0] / ball.radius
         diam = np.ptp(inside[:, :2], axis=0).max() * np.sqrt(2)
         tol = 1e-6 + (np.pi / 720) * diam / ball.radius
-        assert bru.beta >= cal.beta - 1e-12  # grid can only overshoot
-        assert abs(cal.beta - bru.beta) <= tol
+        assert bru >= cal - 1e-12  # grid can only overshoot
+        assert abs(cal - bru) <= tol
 
 
 def sequential_chain(points):
@@ -274,7 +274,7 @@ def test_batch_shares_scans_and_matches_single_balls(case):
         except ValueError:
             assert rec is None
             continue
-        assert rec.ball is ball and rec.method == want.method
+        assert rec.ball is ball
         assert _bits((rec.beta, rec.best_plane.subgroup.theta,
                       rec.best_plane.offset)) == \
             _bits((want.beta, want.best_plane.subgroup.theta,
@@ -470,7 +470,6 @@ def test_beta_records_roundtrip(tmp_path):
         assert a.beta == b.beta
         assert a.best_plane.subgroup.theta == b.best_plane.subgroup.theta
         assert a.best_plane.offset == b.best_plane.offset
-        assert a.method == b.method
 
 
 def test_beta_empty_ball_raises():

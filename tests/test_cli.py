@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -289,3 +291,15 @@ def test_golden_artifact_digests(tmp_path):
         assert rc == 0
         got = digest_dir(out)
         assert {name: got[name] for name in want} == want
+
+
+def test_cli_import_loads_no_scipy_optimize():
+    """Start-up stays light: no CLI command needs scipy.optimize."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, heisrect.cli; "
+            "print(sorted(m for m in sys.modules if 'scipy.optimize' in m))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.strip() == "[]"

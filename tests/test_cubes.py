@@ -187,7 +187,7 @@ def offset_clouds(draw):
 @given(offset_clouds())
 def test_local_kernels_match_blocked_oracles(cloud):
     pts, masses = cloud
-    tol = cubes._dist_error(pts)
+    tol = core.dist_error(pts)
     assert cubes.median_nn_distance(pts) == blocked_median_nn(pts)
     top = blocked_top_level(pts)
     assert cubes._top_level(pts, tol) == top
@@ -226,7 +226,7 @@ def test_top_level_falls_back_at_a_power_of_two(monkeypatch):
     monkeypatch.setattr(cubes, "_diameter",
                         lambda p: calls.append(len(p)) or diameter(p))
     pts = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    tol = cubes._dist_error(pts)
+    tol = core.dist_error(pts)
     assert cubes._top_level(pts, tol) == blocked_top_level(pts) == 2
     assert cubes._dominates(pts, tol, 0)
     assert calls == [3, 3]

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heisrect import burgers, core, graphs, planes
+from heisrect import burgers, core, graphs, partition, planes
 
 RNG = np.random.default_rng(37)
 
@@ -56,6 +59,87 @@ def test_lipschitz_constant_detects_non_graph():
     p1 = core.mul(w, [0.3, 0, 0])
     p2 = core.mul(w, [-0.2, 0, 0])
     assert graphs.lipschitz_constant(np.array([p1, p2])) == np.inf
+
+
+def loop_pair_scan(pts):
+    """Oracle: (aperture, Lipschitz constant) from one ordered pair at a
+    time, with the shared-fibre rule of cone_aperture."""
+    tol = core.dist_error(pts)
+    alpha, lip = np.inf, 0.0
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i == j:
+                continue
+            dw, dv = planes.split(core.mul(core.inv(pts[i]), pts[j]),
+                                  planes.subgroup_y_t())
+            wn, vn = float(core.norm(dw)), float(core.norm(dv))
+            if wn <= tol < vn:
+                return 0.0, np.inf
+            if vn > 0:
+                alpha = min(alpha, wn / vn)
+                lip = max(lip, vn / wn if wn > 0 else np.inf)
+    return alpha, lip
+
+
+@st.composite
+def pair_clouds(draw):
+    """Up to 24 grid samples (duplicates, shared cosets and shared fibres
+    all likely), dilated and left-translated, and a block of 1-3 rows."""
+    n = draw(st.integers(2, 24))
+    grid = st.integers(-6, 6)
+    pts = np.array(draw(st.lists(st.tuples(grid, grid, grid), min_size=n,
+                                 max_size=n)), float) / 4.0
+    scale = draw(st.sampled_from([1e-2, 1.0, 1e3]))
+    shift = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.3, -0.7, 0.2),
+                                  (300.0, -200.0, 1e3)]))
+    pts = core.mul(scale * np.array(shift), core.dilate(scale, pts))
+    return pts, draw(st.integers(1, 3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(pair_clouds())
+def test_pair_scan_matches_per_pair_oracle(case):
+    pts, rows = case
+    alpha, lip = loop_pair_scan(pts)
+    with mock.patch.object(graphs, "PAIR_BUDGET", rows * len(pts)):
+        assert graphs.cone_aperture(pts) == alpha
+        got = graphs.lipschitz_constant(pts)
+    if 0 < lip < np.inf:
+        assert got == pytest.approx(lip, rel=1e-12)
+    else:
+        assert got == lip
+
+
+@st.composite
+def fibre_pairs(draw):
+    """A float cloud at scale 10^-2..10^3, left-translated, one of its
+    samples p and a signed step s along the normal of W."""
+    scale = 10.0 ** draw(st.floats(-2, 3))
+    n = draw(st.integers(1, 12))
+    unit = st.floats(-1, 1)
+    pts = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=n,
+                                 max_size=n)))
+    x, y, t = draw(st.tuples(st.floats(-5, 5), st.floats(-5, 5),
+                             st.floats(-25, 25)))
+    pts = core.mul(core.as_point(scale * x, scale * y, scale ** 2 * t),
+                   core.dilate(scale, pts))
+    s = draw(st.floats(1e-3, 2)) * draw(st.sampled_from([-1, 1])) * scale
+    return pts, draw(st.integers(0, n - 1)), s
+
+
+@settings(deadline=None, max_examples=200)
+@given(fibre_pairs())
+def test_shared_fibre_caught_up_to_rounding(case):
+    """q = p . (s n, 0) shares p's vertical projection, so no cloud
+    holding both is a graph over W, whatever the rounding of q."""
+    pts, k, s = case
+    n = planes.subgroup_y_t().normal
+    q = core.mul(pts[k], np.array([s * n[0], s * n[1], 0.0]))
+    cloud = np.vstack([pts, q])
+    assert graphs.cone_aperture(cloud) == 0.0
+    assert graphs.lipschitz_constant(cloud) == np.inf
+    report, = partition.verify_pieces(cloud, {"": np.arange(len(cloud))})
+    assert not report.graph_ok
 
 
 def test_intrinsic_gradient_affine():

@@ -261,3 +261,18 @@ def test_verify_pieces_affine_matches_lipschitz(affine_tree):
     reports = partition.verify_pieces(ps.points, {"all": idx})
     lhat = graphs.lipschitz_constant(ps.points[idx])
     assert reports[0].aperture >= 1.0 / lhat - 1e-9
+
+
+@pytest.mark.parametrize("n", [2500, 1500])
+def test_verify_pieces_rejects_shared_fibre_pair(n):
+    """Sample 1 of affine n=50 moved into sample 0's fibre.  The whole
+    cloud used to pass through pair subsampling (aperture 2.0), the
+    first 1,500 samples through an exact-zero test on ||d_W|| (aperture
+    3.0e-8)."""
+    _, ps = cli.build_scenario("affine", params={"n": 50})
+    pts = ps.points.copy()
+    pts[1] = core.mul(pts[0], np.array([0.3, 0.0, 0.0]))
+    report, = partition.verify_pieces(pts[:n], {"": np.arange(n)})
+    assert report.aperture == 0.0
+    assert not report.graph_ok
+    assert graphs.lipschitz_constant(pts[:n]) == np.inf
