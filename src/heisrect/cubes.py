@@ -29,6 +29,10 @@ from . import core, graphs
 # box edges and of |z| on top of core.dist_error's bound
 BOX_SLACK = 1e-9
 
+# the ball of cube Q at level j is B_Q = B(z_Q, BALL_MULTIPLIER * 2^j),
+# for its flatness, the cover counts and the coding alike
+BALL_MULTIPLIER = 4.0
+
 
 class CubeTree:
     """Nested cubes stored as flat arrays.
@@ -384,9 +388,9 @@ def sibling_pair(tree: CubeTree, i1, i2):
     return j, containing_cube(tree, i1, j), containing_cube(tree, i2, j)
 
 
-def cube_beta_cache(tree: CubeTree, multiplier=4.0):
-    """Flatness record of B(z_Q, multiplier * 2^j) for every cube, by id."""
-    balls = [beta_mod.Ball(tree.center(cid), multiplier * 2.0 ** j)
+def cube_beta_cache(tree: CubeTree):
+    """Flatness record of the ball B_Q for every cube, by id."""
+    balls = [beta_mod.Ball(tree.center(cid), BALL_MULTIPLIER * 2.0 ** j)
              for cid, j in enumerate(tree.level.tolist())]
     return dict(enumerate(beta_mod.beta_vertical_batch(tree.points, balls)))
 
@@ -404,12 +408,10 @@ class CarlesonReport:
     epsilons: list
     per_root: dict          # root id -> list of K values, one per epsilon
     sup_k: list             # per epsilon, sup over roots
-    ball_multiplier: float
     integral_estimate: float = None
 
 
-def carleson_sum(tree: CubeTree, beta_of, epsilons,
-                 ball_multiplier=4.0) -> CarlesonReport:
+def carleson_sum(tree: CubeTree, beta_of, epsilons) -> CarlesonReport:
     """Packing sums K(eps, root) = sum of mu(Q)/mu(root) over high-beta cubes.
 
     beta_of maps cube id to its BetaRecord (cube_beta_cache output);
@@ -428,20 +430,20 @@ def carleson_sum(tree: CubeTree, beta_of, epsilons,
         per_root[root] = ks
     sup_k = [max(per_root[r][i] for r in per_root)
              for i in range(len(epsilons))]
-    return CarlesonReport(epsilons, per_root, sup_k, ball_multiplier)
+    return CarlesonReport(epsilons, per_root, sup_k)
 
 
 def carleson_with_integral(tree: CubeTree, beta_of, epsilons,
-                           ball_multiplier=4.0, sample_stride=4):
+                           sample_stride=4):
     """Packing sums plus the shell estimate of the packing integral.
 
     The integral is evaluated at the heaviest root for the smallest
     threshold and stored on the report for cross-checking the two
     formulations on identical data.
     """
-    report = carleson_sum(tree, beta_of, epsilons, ball_multiplier)
+    report = carleson_sum(tree, beta_of, epsilons)
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    radius = ball_multiplier * 2.0 ** tree.j_max
+    radius = BALL_MULTIPLIER * 2.0 ** tree.j_max
     report.integral_estimate = wgl_integral_estimate(
         tree.points, tree.masses, report.epsilons[:1], tree.center(root),
         radius, sample_stride=sample_stride)[0]

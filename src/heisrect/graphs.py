@@ -178,21 +178,26 @@ PAIR_BUDGET = 2 ** 19
 def _pair_norms(pts):
     """Yield (||d_W||, ||d_V||) for every ordered pair difference, blocked.
 
+    d = c^-1 . p is formed with the floating-point operations of
+    core.mul, and its split over the (y, t)-plane in closed form:
+    ||d_V|| = |d_x| and ||d_W|| = max(|d_y|, sqrt|d_t + d_y d_x / 2|),
+    bit-identical to core.norm of planes.split at subgroup_y_t().
     A block holds PAIR_BUDGET // n rows of n pairs (one row at least).
     The diagonal carries (inf, 0) so zero pairs never win a quotient.
     """
-    W = planes.subgroup_y_t()
     n = len(pts)
+    x, y, t = pts.T
     block = max(1, PAIR_BUDGET // n)
     for start in range(0, n, block):
-        chunk = pts[start:start + block]
-        d = core.mul(core.inv(chunk[:, None, :]), pts[None, :, :])
-        dw, dv = planes.split(d.reshape(-1, 3), W)
-        wn = core.norm(dw).reshape(len(chunk), n)
-        vn = core.norm(dv).reshape(len(chunk), n)
+        cx, cy, ct = -pts[start:start + block].T[..., None]
+        dx = cx + x
+        dy = cy + y
+        dt = ct + t + 0.5 * (cx * y - cy * x)
+        vn = np.abs(dx)
+        wn = np.maximum(np.abs(dy), np.sqrt(np.abs(dt + 0.5 * dy * dx)))
         idx = np.arange(start, min(start + block, n))
-        wn[np.arange(len(chunk)), idx] = np.inf
-        vn[np.arange(len(chunk)), idx] = 0.0
+        wn[idx - start, idx] = np.inf
+        vn[idx - start, idx] = 0.0
         yield wn, vn
 
 

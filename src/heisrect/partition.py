@@ -6,123 +6,63 @@ under too many high-flatness balls, then codes the remaining samples
 with finite 0/1 strings so that nearby samples straddling a
 high-flatness cube always land in different pieces.  Each piece then
 satisfies the cone condition with a measured positive aperture, i.e. is
-a graph over the chosen vertical subgroup.
+a graph over the (y, t)-plane W = {x = 0}.  Areas are rasters of the
+chart planes.project_chart(points, planes.subgroup_y_t()), and every
+cube ball is B_Q = B(z_Q, cubes.BALL_MULTIPLIER * 2^j).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import beta as beta_mod
-from . import core, graphs, planes
+from . import core, cubes, graphs, planes
 from .cubes import CubeTree
 
 
-@dataclass
-class GoodnessConfig:
-    """Thresholds for the good-cube predicate.
-
-    b: required projected-area fraction of cube mass, cover_cutoff:
-    number of high-flatness balls a sample may meet before removal,
-    subgroup: the projection direction.
-    """
-
-    b: float
-    cover_cutoff: int
-    subgroup: planes.VerticalSubgroup
-
-    def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError("b must be positive")
-        if self.cover_cutoff < 1:
-            raise ValueError("cover cutoff must be at least 1")
-
-
-def median_projected_spacing(points, subgroup):
-    """Median nearest-neighbour gap of the distinct projected samples.
+def median_projected_spacing(chart):
+    """Median nearest-neighbour gap of the distinct chart projections.
 
     Coincident projections (distinct samples in one fiber, plus float
     dust) are skipped so the raster cell reflects actual structure.
+    Raises ValueError when no sample has a distinct projection among its
+    16 nearest neighbours, as when every sample shares one projection.
     """
-    proj = planes.project_chart(points, subgroup)
-    if len(proj) < 2:
-        return 1.0
-    scale = max(np.ptp(proj, axis=0).max(), 1e-30)
-    dust = 1e-9 * scale
-    tree = cKDTree(proj)
-    k = min(len(proj), 16)
-    d, _ = tree.query(proj, k=k)
-    gaps = []
-    for row in d:
-        positive = row[row > dust]
-        if len(positive):
-            gaps.append(positive[0])
-    if not gaps:
-        return 1.0
-    return float(np.median(gaps))
+    chart = np.asarray(chart, float).reshape(-1, 2)
+    if len(chart) > 1:
+        scale = max(np.ptp(chart, axis=0).max(), 1e-30)
+        d, _ = cKDTree(chart).query(chart, k=min(len(chart), 16))
+        beyond = d > 1e-9 * scale
+        hit = beyond.any(axis=1)
+        if hit.any():
+            return float(np.median(d[hit, beyond[hit].argmax(axis=1)]))
+    raise ValueError("no sample has a distinct chart projection among its "
+                     "16 nearest neighbours")
 
 
-def projection_area(points, subgroup, mask=None, cell=None):
-    """Raster area of the projected samples.
-
-    Projects the selected samples, bins them on a grid of size `cell`
-    (default twice the median projected nearest-neighbour spacing of
-    the full cloud) and returns covered-cell count times cell area.
-    """
-    pts = np.asarray(points, float).reshape(-1, 3)
-    if mask is not None:
-        pts = pts[mask]
-    if len(pts) == 0:
+def projection_area(chart_rows, cell):
+    """Raster area of chart points: covered cells of side `cell` times
+    the cell area."""
+    if len(chart_rows) == 0:
         raise ValueError("empty region")
-    if cell is None:
-        cell = 2.0 * median_projected_spacing(points, subgroup)
-    proj = planes.project_chart(pts, subgroup)
-    cells = {(int(math.floor(v / cell)), int(math.floor(t / cell)))
-             for v, t in proj}
-    return len(cells) * cell * cell
+    cells = np.floor(np.asarray(chart_rows, float) / cell).tolist()
+    return len(set(map(tuple, cells))) * cell * cell
 
 
-@dataclass
-class Classification:
-    area_violators: list       # maximal cubes with thin projections
-    flat_violators: list       # every cube above the flatness threshold
-    removed_area: np.ndarray   # sample indices under area violators
-    removed_cover: np.ndarray  # samples met by >= cutoff bad balls
-    cover_counts: np.ndarray
-    cell: float
-
-
-def classify_cubes(tree: CubeTree, root_id, cfg: GoodnessConfig,
-                   flat_violators, counts, cell=None) -> Classification:
-    """Split the cubes below a root into good and bad families.
-
-    Area violators are the maximal cubes whose projected area falls
-    below (b/2) times their mass; flat_violators (flatness_violators
-    output) and their cover counts are computed by the caller.  Samples
-    are removed when they lie in an area violator or meet at least
-    cover_cutoff violator balls.
-    """
-    if cell is None:
-        cell = 2.0 * median_projected_spacing(tree.points, cfg.subgroup)
+def classify_cubes(tree: CubeTree, root_id, chart, b, cell):
+    """Maximal cubes below a root whose projected area falls below
+    (b/2) times their mass, sorted by id."""
     area_violators = []
     stack = [root_id]
     while stack:
         cid = stack.pop()
-        area = projection_area(tree.points, cfg.subgroup,
-                               mask=tree.samples(cid), cell=cell)
-        if area < 0.5 * cfg.b * tree.mass[cid]:
+        if projection_area(chart[tree.samples(cid)], cell) \
+                < 0.5 * b * tree.mass[cid]:
             area_violators.append(cid)
         else:
             stack.extend(tree.children(cid))
-
-    removed_area = np.unique(np.concatenate(
-        [tree.samples(cid) for cid in area_violators]
-        or [np.array([], dtype=int)]))
-    removed_cover = np.nonzero(counts >= cfg.cover_cutoff)[0]
-    return Classification(sorted(area_violators), sorted(flat_violators),
-                          removed_area, removed_cover, counts, cell)
+    return sorted(area_violators)
 
 
 def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
@@ -130,7 +70,7 @@ def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
     return [cid for cid in tree.descendants(root_id) if beta_of[cid].beta > eps]
 
 
-def cover_counts(tree: CubeTree, flat_violators, ball_multiplier=4.0):
+def cover_counts(tree: CubeTree, flat_violators):
     """Per sample, how many violator balls B_Q contain it.
 
     The balls go through the membership kernel of the flatness batch in
@@ -138,7 +78,7 @@ def cover_counts(tree: CubeTree, flat_violators, ball_multiplier=4.0):
     """
     cids = np.asarray(flat_violators, dtype=int)
     centers = tree.points[tree.center_index[cids]]
-    radii = ball_multiplier * 2.0 ** tree.level[cids]
+    radii = cubes.BALL_MULTIPLIER * 2.0 ** tree.level[cids]
     xyt = np.ascontiguousarray(tree.points.T)
     counts = np.zeros(len(tree.points), dtype=int)
     step = max(1, beta_mod.CHUNK_PAIRS // max(len(tree.points), 1))
@@ -148,18 +88,19 @@ def cover_counts(tree: CubeTree, flat_violators, ball_multiplier=4.0):
     return counts
 
 
-def choose_cover_cutoff(tree: CubeTree, root_id, counts, area_to_mass, b):
+def choose_cover_cutoff(tree: CubeTree, root_id, counts, root_area, b):
     """Smallest cutoff N whose removals project to area below (b/2) mass.
 
     Removing the samples under >= N violator balls (counts from
-    cover_counts) must cost at most b/(2C) of the root mass (C the
-    calibrated area-per-mass constant); the minimal such N is read off
-    the cover-count histogram.
+    cover_counts) must cost at most b/(2C) of the root mass, C the
+    root's projected area per mass; the minimal such N is read off the
+    cover-count histogram.
     """
     root_mass = float(tree.mass[root_id])
     if root_mass <= 0:
-        return 1
-    target = b / (2.0 * max(area_to_mass, 1e-12)) * root_mass
+        raise ValueError("the root cube has no mass, so its area "
+                         "per mass is undefined")
+    target = b / (2.0 * max(root_area / root_mass, 1e-12)) * root_mass
     idx = tree.samples(root_id)
     c_root = counts[idx]
     m_root = tree.masses[idx]
@@ -179,8 +120,8 @@ class CodingResult:
     kept: np.ndarray
 
 
-def coding_partition(tree: CubeTree, root_id, flat_violators, removed,
-                     ball_multiplier=4.0) -> CodingResult:
+def coding_partition(tree: CubeTree, root_id, flat_violators,
+                     removed) -> CodingResult:
     """Generation-by-generation 0/1 coding of the cubes below a root.
 
     Every cube starts from its parent's string.  At each generation,
@@ -213,7 +154,7 @@ def coding_partition(tree: CubeTree, root_id, flat_violators, removed,
         for cid in gen:
             sigma[cid] = sigma[parent[cid]]
             bits_added[cid] = 0
-        ball_r = ball_multiplier * 2.0 ** level
+        ball_r = cubes.BALL_MULTIPLIER * 2.0 ** level
         for q in gen:
             if q not in violators:
                 continue
@@ -292,54 +233,50 @@ def verify_pieces(points, pieces):
 
 @dataclass
 class PipelineResult:
-    classification: Classification
+    flat_violators: list    # every cube above the flatness threshold
     coding: CodingResult
     piece_reports: list
     uncovered_area: float
     root_mass: float
     root_area: float
     cover_cutoff: int
+    cell: float             # raster cell of every projected area
 
 
-def graph_piece_partition(tree: CubeTree, root_id, beta_of, b, eps,
-                          subgroup=None, cover_cutoff=None, area_to_mass=None,
-                          ball_multiplier=4.0) -> PipelineResult:
+def graph_piece_partition(tree: CubeTree, root_id, beta_of, b,
+                          eps) -> PipelineResult:
     """End-to-end pipeline from a cube tree to verified graph pieces.
 
-    When cover_cutoff is None it is chosen from the calibrated
-    area-to-mass constant so the removed samples project to area at
-    most b times the root mass.
+    Removes the samples under area violators (classify_cubes) and those
+    met by at least cover_cutoff violator balls, the cutoff chosen from
+    the root's area-to-mass constant so the cover removals project to
+    area at most b times the root mass.  The raster cell is twice the
+    median projected spacing of the whole cloud.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    subgroup = subgroup or planes.subgroup_y_t()
+    if b <= 0:
+        raise ValueError("b must be positive")
+    chart = planes.project_chart(tree.points, planes.subgroup_y_t())
     root_samples = tree.samples(root_id)
     root_mass = float(tree.mass[root_id])
-    cell = 2.0 * median_projected_spacing(tree.points, subgroup)
-    root_area = projection_area(tree.points, subgroup, mask=root_samples,
-                                cell=cell)
-    flat = flatness_violators(tree, root_id, beta_of, eps)
-    counts = cover_counts(tree, flat, ball_multiplier)
-    if cover_cutoff is None:
-        if area_to_mass is None:
-            if root_mass <= 0:
-                raise ValueError("the root cube has no mass, so its area "
-                                 "per mass is undefined")
-            area_to_mass = max(root_area / root_mass, 1e-12)
-        cover_cutoff = choose_cover_cutoff(tree, root_id, counts,
-                                           area_to_mass, b)
-    cfg = GoodnessConfig(b, cover_cutoff, subgroup)
-    cls = classify_cubes(tree, root_id, cfg, flat, counts, cell)
-    removed = np.union1d(cls.removed_area, cls.removed_cover)
-    coding = coding_partition(tree, root_id, cls.flat_violators, removed,
-                              ball_multiplier)
+    cell = 2.0 * median_projected_spacing(chart)
+    root_area = projection_area(chart[root_samples], cell)
+    flat = sorted(flatness_violators(tree, root_id, beta_of, eps))
+    counts = cover_counts(tree, flat)
+    cover_cutoff = choose_cover_cutoff(tree, root_id, counts, root_area, b)
+    area_violators = classify_cubes(tree, root_id, chart, b, cell)
+    removed = np.union1d(
+        np.concatenate([tree.samples(cid) for cid in area_violators]
+                       or [np.array([], dtype=int)]),
+        np.nonzero(counts >= cover_cutoff)[0])
+    coding = coding_partition(tree, root_id, flat, removed)
     reports = verify_pieces(tree.points, coding.pieces)
     covered = np.concatenate([r.indices for r in reports]
                              or [np.array([], dtype=int)])
     uncovered = np.setdiff1d(root_samples, covered)
     uncovered_area = 0.0
     if len(uncovered) > 0:
-        uncovered_area = projection_area(tree.points, subgroup,
-                                         mask=uncovered, cell=cell)
-    return PipelineResult(cls, coding, reports, uncovered_area, root_mass,
-                          root_area, cover_cutoff)
+        uncovered_area = projection_area(chart[uncovered], cell)
+    return PipelineResult(flat, coding, reports, uncovered_area, root_mass,
+                          root_area, cover_cutoff, cell)

@@ -307,7 +307,7 @@ def test_criterion_10_partition_pipeline():
     for rep in result.piece_reports:
         assert rep.graph_ok
         assert rep.aperture > 0
-    raster_slack = 4 * result.classification.cell ** 2
+    raster_slack = 4 * result.cell ** 2
     assert result.uncovered_area <= b * result.root_mass + raster_slack
 
     # no flatness violators: the coding degenerates to a single piece
@@ -318,7 +318,7 @@ def test_criterion_10_partition_pipeline():
     ca2 = cubes.cube_beta_cache(tr2)
     root2 = max(tr2.roots(), key=lambda c: tr2.mass[c])
     result2 = partition.graph_piece_partition(tr2, root2, ca2, b=0.2, eps=0.5)
-    assert result2.classification.flat_violators == []
+    assert result2.flat_violators == []
     assert len(result2.piece_reports) == 1
     assert result2.piece_reports[0].code == ""
     _report("10 partition pipeline",
@@ -333,7 +333,8 @@ def test_criterion_11_measure_lemma():
                                    (-1.5, 1.5), 61, 61)
     ps = graphs.point_set(g)
     rng = np.random.default_rng(11)
-    cell = 2.0 * partition.median_projected_spacing(ps.points, W_YT)
+    chart = planes.project_chart(ps.points, W_YT)
+    cell = 2.0 * partition.median_projected_spacing(chart)
     ratios = []
     for _ in range(12):
         center = ps.points[rng.integers(0, len(ps.points))]
@@ -341,7 +342,7 @@ def test_criterion_11_measure_lemma():
         mask = core.dist(ps.points, center) <= r
         if mask.sum() < 10:
             continue
-        area = partition.projection_area(ps.points, W_YT, mask, cell)
+        area = partition.projection_area(chart[mask], cell)
         ratios.append(area / ps.masses[mask].sum())
     C = 1.25 * max(ratios)
     checked = 0
@@ -360,7 +361,7 @@ def test_criterion_11_measure_lemma():
                     & (ps.points[:, 2] >= lo_t) & (ps.points[:, 2] <= hi_t))
         if mask.sum() < 25:
             continue
-        area = partition.projection_area(ps.points, W_YT, mask, cell)
+        area = partition.projection_area(chart[mask], cell)
         assert area <= C * ps.masses[mask].sum()
         checked += 1
     assert checked == 100
@@ -369,7 +370,7 @@ def test_criterion_11_measure_lemma():
     for r in (0.5, 0.8, 1.1):
         center = graphs.graph_map(g, 30, 30)
         mask = core.dist(ps.points, center) <= r
-        area = partition.projection_area(ps.points, W_YT, mask, cell)
+        area = partition.projection_area(chart[mask], cell)
         deltas.append(area / r ** 3)
     assert min(deltas) > 0
     _report("11 measure lemma", C=C, regions=checked, bvp_delta=min(deltas))

@@ -205,18 +205,48 @@ def test_custom_grid_rejects_bad_rows(tmp_path, capsys, edit, detail):
     assert err["error"]["detail"].endswith("graph.csv: " + detail)
 
 
-def test_partition_rejects_massless_cloud(tmp_path, capsys):
-    path = tmp_path / "points.csv"
-    path.write_text("x,y,t,mass\n" + "".join(
-        f"{0.1 * k},{0.05 * k * k},{0.01 * k},0.0\n" for k in range(12)))
-    cfg = write_config(tmp_path, {"path": str(path)})
+def run_partition(tmp_path, capsys, scenario, params):
+    """Run `partition`; returns (exit code, error JSON)."""
+    cfg = write_config(tmp_path, params)
     capsys.readouterr()
-    rc = cli.main(["partition", "--scenario", "custom_file", "--config",
+    rc = cli.main(["partition", "--scenario", scenario, "--config",
                    str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    return rc, json.loads(err.splitlines()[-1]) if err else None
+
+
+def run_partition_on_points(tmp_path, capsys, rows):
+    path = tmp_path / "points.csv"
+    path.write_text("x,y,t,mass\n" + "".join(rows))
+    return run_partition(tmp_path, capsys, "custom_file", {"path": str(path)})
+
+
+def test_partition_rejects_massless_cloud(tmp_path, capsys):
+    rc, err = run_partition_on_points(tmp_path, capsys, (
+        f"{0.1 * k},{0.05 * k * k},{0.01 * k},0.0\n" for k in range(12)))
     assert rc == 3
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"]["kind"] == "numerical"
     assert "no mass" in err["error"]["detail"]
+
+
+def test_partition_rejects_single_projection_cloud(tmp_path, capsys):
+    """Three copies of one point leave no spacing to size the raster cell."""
+    rc, err = run_partition_on_points(tmp_path, capsys,
+                                      ["0.1,0.2,0.3,1.0\n"] * 3)
+    assert rc == 3
+    assert err["error"]["kind"] == "numerical"
+    assert "chart projection" in err["error"]["detail"]
+
+
+@pytest.mark.parametrize("params, detail", [
+    ({"b": 0}, "b must be positive"),
+    ({"eps": 0}, "eps must be positive"),
+], ids=["b", "eps"])
+def test_partition_rejects_nonpositive_thresholds(tmp_path, capsys, params,
+                                                  detail):
+    rc, err = run_partition(tmp_path, capsys, "affine", params)
+    assert rc == 3
+    assert err["error"] == {"kind": "numerical", "detail": detail}
 
 
 def test_cubes_rerun_byte_identical(tmp_path):
@@ -276,6 +306,20 @@ GOLDEN = {
                         "3cdbe66f833e505db1e7cdd74cacad1b",
         "cubes_summary.json": "7d61d235dbc56d8303de5e27b12d5890"
                               "ba5f57f8a1d0b6802443049d3ec3ba7c",
+    },
+    # one piece with a finite aperture over all 1,296 samples
+    ("partition", "perturbed", '{"n": 36}', ()): {
+        "pieces.csv": "4e671c93f30c070c45ee1fcd9e2165de"
+                      "4c3aa9f1c35f012a0930422c3040c46d",
+        "partition_summary.json": "953d8d9f7c18a517ff01fd3b5b29b601"
+                                  "747e69cb2cf0a6b8fcf70ff4b33ecac9",
+    },
+    # the partition_crossing benchmark configuration
+    ("partition", "two_patch_union", '{"ny": 27}', ("--scales=-3:5",)): {
+        "pieces.csv": "7e663b167c4dbb434bc78bcb01b98d4e"
+                      "25d0c71979f8e72b3c2ce3f4fb77c7e7",
+        "partition_summary.json": "e8f780236ab2a2826bc1611387b0dac0"
+                                  "9c8ca53e7feb00bc6d3da0bc3edfc50e",
     },
 }
 

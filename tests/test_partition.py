@@ -14,6 +14,12 @@ def flat_cloud(n=41):
     return graphs.point_set(g)
 
 
+def chart_and_cell(points):
+    """The (y, t) chart of a cloud and the pipeline's raster cell for it."""
+    chart = planes.project_chart(points, W_YT)
+    return chart, 2.0 * partition.median_projected_spacing(chart)
+
+
 def test_projection_area_of_plane_ball():
     # the (y, t)-plane meets B(0, r) in {|y| <= r, |t| <= r^2}: area 4 r^3
     r = 1.0
@@ -23,14 +29,14 @@ def test_projection_area_of_plane_ball():
     yy, tt = np.meshgrid(ys, ts, indexing="ij")
     pts = np.column_stack([np.zeros(n * n), yy.ravel(), tt.ravel()])
     inside = core.dist(pts, np.zeros(3)) <= r
-    area = partition.projection_area(pts[inside], W_YT)
+    area = partition.projection_area(*chart_and_cell(pts[inside]))
     assert abs(area - 4 * r ** 3) <= 0.05 * 4 * r ** 3
 
 
 def test_projection_area_mass_bound():
     ps = flat_cloud(61)
     rng = np.random.default_rng(3)
-    cell = 2.0 * partition.median_projected_spacing(ps.points, W_YT)
+    chart, cell = chart_and_cell(ps.points)
     # calibrate once on balls, then check random regions with one constant
     cal = []
     for _ in range(10):
@@ -39,7 +45,7 @@ def test_projection_area_mass_bound():
         mask = core.dist(ps.points, center) <= r
         if mask.sum() < 10:
             continue
-        area = partition.projection_area(ps.points, W_YT, mask, cell)
+        area = partition.projection_area(chart[mask], cell)
         cal.append(area / ps.masses[mask].sum())
     C = 1.25 * max(cal)
     for _ in range(100):
@@ -49,7 +55,7 @@ def test_projection_area_mass_bound():
                 & (ps.points[:, 2] >= lo[1]) & (ps.points[:, 2] <= hi[1]))
         if mask.sum() < 4:
             continue
-        area = partition.projection_area(ps.points, W_YT, mask, cell)
+        area = partition.projection_area(chart[mask], cell)
         assert area <= C * ps.masses[mask].sum()
 
 
@@ -60,7 +66,8 @@ def test_projection_area_big_vertical_projection():
     R = 1.0
     center = graphs.graph_map(g, 40, 40)
     mask = core.dist(ps.points, center) <= R
-    area = partition.projection_area(ps.points, W_YT, mask)
+    chart, cell = chart_and_cell(ps.points)
+    area = partition.projection_area(chart[mask], cell)
     delta = area / R ** 3
     assert delta > 0.1
 
@@ -78,23 +85,23 @@ def affine_tree():
 def test_classify_affine_no_flat_violators(affine_tree):
     tree, cache, _ = affine_tree
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    cfg = partition.GoodnessConfig(0.4, 3, W_YT)
+    chart, cell = chart_and_cell(tree.points)
+    area_violators = partition.classify_cubes(tree, root, chart, 0.4, cell)
+    assert area_violators == sorted(area_violators)
+    assert set(area_violators) <= set(tree.descendants(root))
     flat = partition.flatness_violators(tree, root, cache, 0.05)
-    cls = partition.classify_cubes(tree, root, cfg, flat,
-                                   partition.cover_counts(tree, flat))
-    assert cls.flat_violators == []
-    assert len(cls.removed_cover) == 0
+    assert flat == []
+    assert not np.any(partition.cover_counts(tree, flat) >= 3)
 
 
 def test_classify_huge_b_degenerates(affine_tree):
     tree, cache, _ = affine_tree
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    cfg = partition.GoodnessConfig(1e9, 3, W_YT)
-    flat = partition.flatness_violators(tree, root, cache, 0.05)
-    cls = partition.classify_cubes(tree, root, cfg, flat,
-                                   partition.cover_counts(tree, flat))
-    assert cls.area_violators == [root]
-    assert set(cls.removed_area) == set(tree.samples(root))
+    chart, cell = chart_and_cell(tree.points)
+    area_violators = partition.classify_cubes(tree, root, chart, 1e9, cell)
+    assert area_violators == [root]
+    removed_area = np.concatenate([tree.samples(c) for c in area_violators])
+    assert set(removed_area) == set(tree.samples(root))
 
 
 def loop_cover_counts(tree, flat_violators, ball_multiplier=4.0):
@@ -109,7 +116,8 @@ def loop_cover_counts(tree, flat_violators, ball_multiplier=4.0):
 @st.composite
 def trees_and_violators(draw):
     """A cube tree over up to 40 grid samples (some duplicated), moved by
-    a left translation, a list of violator cubes and a chunk size."""
+    a left translation, a list of violator cubes, a ball multiplier and
+    a chunk size."""
     n = draw(st.integers(1, 40))
     grid = st.integers(-16, 16)
     pts = np.array(draw(st.lists(st.tuples(grid, grid, grid), min_size=n,
@@ -129,8 +137,9 @@ def trees_and_violators(draw):
 @given(trees_and_violators())
 def test_cover_counts_matches_per_violator_loop(case):
     tree, flat, multiplier, step = case
-    with mock.patch.object(beta, "CHUNK_PAIRS", step * len(tree.points)):
-        got = partition.cover_counts(tree, flat, multiplier)
+    with mock.patch.object(beta, "CHUNK_PAIRS", step * len(tree.points)), \
+            mock.patch.object(cubes, "BALL_MULTIPLIER", multiplier):
+        got = partition.cover_counts(tree, flat)
     want = loop_cover_counts(tree, flat, multiplier)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -182,10 +191,10 @@ def test_coding_separation_property():
     eps = 0.05
     result = partition.graph_piece_partition(tree, root, cache, b=0.4,
                                              eps=eps)
-    mult = 4.0
+    mult = cubes.BALL_MULTIPLIER
     scope = set(tree.descendants(root))
     members = tree.samples(root)
-    for q in result.classification.flat_violators:
+    for q in result.flat_violators:
         level = tree.level[q]
         # per cube, the largest distance from q's center to its samples
         reach = np.full(len(tree), -np.inf)
@@ -211,7 +220,7 @@ def test_pipeline_two_patch_union():
         assert rep.graph_ok
         assert rep.aperture > 0
     assert result.uncovered_area <= b * result.root_mass + 4 * \
-        result.classification.cell ** 2
+        result.cell ** 2
     # kept samples change code strings fewer times than the removal cutoff
     assert result.coding.max_changes < result.cover_cutoff
     # piece count against the trivial and the (N, C') style bounds
