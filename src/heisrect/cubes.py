@@ -9,12 +9,15 @@ construction.  On top of the tree live Carleson packing sums, the
 integral formulation of the packing condition, the pre-dyadic ball
 refinement, and stopping-time (corona) partitions.
 
-Tree construction and checks answer every neighbourhood question with a
-box-bounded cKDTree query followed by the exact core.dist filter, so
-they return the same values as all-pairs scans without building one.
+Tree construction and checks answer every neighbourhood question with
+index arrays from a sparse Chebyshev distance matrix of cKDTree, cut to
+boxes proved to hold each metric ball, followed by the exact core.dist
+filter, so they return the same values as all-pairs scans without
+building one.  The greedy nets rescan only the box around each new net
+point once that box is smaller than the cloud, and the tree file is
+written directly in json.dump's layout.
 """
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -104,18 +107,37 @@ def farthest_point_net(points, radius, candidates=None):
     """Greedy farthest-point net seeded at the lowest index.
 
     Returns indices (into `points`) with pairwise distance >= radius
-    and covering radius < radius; ties pick the lowest index.
+    and covering radius < radius; ties pick the lowest index.  Adding
+    the farthest candidate far lowers d = dist(., net) only below
+    D = d[far] = max d, so once the box of B(far, D) leaves part of the
+    cloud out, only the candidates in that box are rescanned.
     """
     idx = np.arange(len(points)) if candidates is None else np.asarray(candidates)
     pts = points[idx]
+    tol = core.dist_error(pts)
+    # per candidate: |z|, and the half-width of the smallest box around
+    # it that holds every candidate
+    z = np.hypot(pts[:, 0], pts[:, 1]).tolist()
+    span = np.maximum(pts - pts.min(axis=0),
+                      pts.max(axis=0) - pts).max(axis=1).tolist()
+    kd = None
     chosen = [0]
     d = core.dist(pts, pts[0])
     while True:
-        far = int(np.argmax(d))
-        if d[far] < radius:
+        far = int(d.argmax())
+        r = d.item(far)
+        if r < radius:
             break
         chosen.append(far)
-        d = np.minimum(d, core.dist(pts, pts[far]))
+        c = pts[far]
+        half = _box_half(r, z[far], tol)
+        if half >= span[far]:
+            d = np.minimum(d, core.dist(pts, c))
+            continue
+        if kd is None:
+            kd = cKDTree(pts)
+        near = np.array(kd.query_ball_point(c, half, p=np.inf), dtype=int)
+        d[near] = np.minimum(d[near], core.dist(pts[near], c))
     return idx[np.array(sorted(chosen))]
 
 
@@ -127,25 +149,47 @@ def _diameter(points):
                for s in range(0, len(points), 512))
 
 
-def _box_query(kd, centers, radii, tol):
-    """Indices of every kd point whose core.dist to a center may be <= r.
+def _box_half(radii, z, tol):
+    """Half-width of a Chebyshev box that holds every point within
+    core.dist r of a center whose horizontal part has norm z.
 
     q in B(c, r) implies |x_q - x_c|, |y_q - y_c| <= r and
     |t_q - t_c| <= r^2 + |z_c| r / 2 (core.mul, core.norm); r is widened
-    by the rounding bound tol first.  Yields (rows, cols) per block of
-    1,024 centers: center rows[k] may hold kd point cols[k], with rows
-    ascending and cols ascending within each row.
+    by the rounding bound tol first.
     """
-    r = np.asarray(radii, float) + tol
-    z = np.hypot(centers[:, 0], centers[:, 1])
-    half = np.maximum(r, r * r + 0.5 * z * r) * (1.0 + BOX_SLACK) + tol
-    for s in range(0, len(centers), 1024):
-        lists = kd.query_ball_point(centers[s:s + 1024], half[s:s + 1024],
-                                    p=np.inf, return_sorted=True)
-        counts = np.fromiter(map(len, lists), int, len(lists))
-        yield (np.repeat(np.arange(s, s + len(lists)), counts),
-               np.fromiter(itertools.chain.from_iterable(lists), int,
-                           int(counts.sum())))
+    r = radii + tol
+    return np.maximum(r, r * r + 0.5 * z * r) * (1.0 + BOX_SLACK) + tol
+
+
+def _box_query(kd, centers, radii, tol):
+    """Indices of every kd point whose core.dist to a center may be <= r.
+
+    Yields (rows, cols) per block of centers: center rows[k] may hold kd
+    point cols[k], with rows ascending and cols ascending within each
+    row.  A block is at most 1,024 centers, taken in order of box
+    half-width, whose widths stay within a factor of two; one sparse
+    Chebyshev distance matrix per block, cut at its widest box, is
+    filtered to each row's own box.  So no center meets more than its
+    box twice as wide, and one far-off center does not widen the boxes
+    of a thousand others.
+    """
+    half = _box_half(np.asarray(radii, float),
+                     np.hypot(centers[:, 0], centers[:, 1]), tol)
+    by_half = np.argsort(half, kind="stable")
+    sorted_half = half[by_half]
+    s = 0
+    while s < len(centers):
+        e = min(s + 1024, int(np.searchsorted(sorted_half, 2.0 * sorted_half[s],
+                                              side="right")))
+        block = by_half[s:e]
+        pairs = cKDTree(centers[block]).sparse_distance_matrix(
+            kd, sorted_half[e - 1], p=np.inf, output_type="ndarray")
+        rows, cols = block[pairs["i"]], pairs["j"]
+        keep = pairs["v"] <= half[rows]
+        rows, cols = rows[keep], cols[keep]
+        order = np.argsort(rows * kd.n + cols)
+        yield rows[order], cols[order]
+        s = e
 
 
 def _first_per_row(rows):
@@ -172,18 +216,19 @@ def _nearest(points, targets, radius, tol):
 def _nn_distances(points, tol):
     """Per-sample distance to the nearest other sample (inf if alone).
 
-    The Euclidean nearest neighbour gives an upper bound u; the exact
-    minimum lies among the candidates of the box of radius u.
+    The nearest of eight Euclidean neighbours in the group metric gives
+    an upper bound u; the exact minimum lies among the candidates of the
+    box of radius u.
     """
     n = len(points)
     if n < 2:
         return np.full(n, np.inf)
     kd = cKDTree(points)
-    pair = kd.query(points, k=2)[1]
-    other = np.where(pair[:, 0] == np.arange(n), pair[:, 1], pair[:, 0])
+    near = kd.query(points, k=min(8, n))[1]
+    u = core.dist(points[:, None, :], points[near])
+    u[near == np.arange(n)[:, None]] = np.inf
     out = np.empty(n)
-    for rows, cols in _box_query(kd, points, core.dist(points, points[other]),
-                                 tol):
+    for rows, cols in _box_query(kd, points, u.min(axis=1), tol):
         d = core.dist(points[rows], points[cols])
         d[rows == cols] = np.inf
         first = _first_per_row(rows)
@@ -393,14 +438,6 @@ def cube_beta_cache(tree: CubeTree):
     balls = [beta_mod.Ball(tree.center(cid), BALL_MULTIPLIER * 2.0 ** j)
              for cid, j in enumerate(tree.level.tolist())]
     return dict(enumerate(beta_mod.beta_vertical_batch(tree.points, balls)))
-
-
-def corona_ball_multiplier(b_inclusion):
-    """Ball multiplier for stopping-time runs: at least 2, with
-    b_inclusion * multiplier >= 8 for the calibrated sandwich constant."""
-    if not 0 < b_inclusion <= 1:
-        raise ValueError("sandwich constant must lie in (0, 1]")
-    return max(2.0, 8.0 / b_inclusion)
 
 
 @dataclass
@@ -714,16 +751,27 @@ def alias_multiplicity(coronas):
 # serialization
 
 def save_tree(tree: CubeTree, path):
+    """Write {"j_min", "j_max", "nodes"} as the bytes of json.dump(...,
+    indent=2, sort_keys=True) plus a newline.
+
+    Every node holds its center, so no samples list is empty.  Masses,
+    j_min and j_max go through json.dumps; the ints of .tolist() print
+    as json prints them.
+    """
     rows = zip(tree.level.tolist(), tree.center_index.tolist(),
-               tree.parent.tolist(), tree.mass.tolist())
-    nodes = [{"id": cid, "level": j, "center_index": c,
-              "parent": p if p >= 0 else None, "mass": m,
-              "samples": tree.samples(cid).tolist()}
-             for cid, (j, c, p, m) in enumerate(rows)]
+               tree.parent.tolist(), map(json.dumps, tree.mass.tolist()))
+    nodes = ",\n".join(
+        f'    {{\n      "center_index": {c},\n      "id": {cid},\n'
+        f'      "level": {j},\n      "mass": {m},\n'
+        f'      "parent": {p if p >= 0 else "null"},\n'
+        f'      "samples": [\n        '
+        + ",\n        ".join(map(str, tree.samples(cid).tolist()))
+        + "\n      ]\n    }"
+        for cid, (j, c, p, m) in enumerate(rows))
     with open(path, "w") as fh:
-        json.dump({"j_min": tree.j_min, "j_max": tree.j_max, "nodes": nodes},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n  "j_max": {json.dumps(tree.j_max)},\n'
+                 f'  "j_min": {json.dumps(tree.j_min)},\n'
+                 f'  "nodes": [\n{nodes}\n  ]\n}}\n')
 
 
 def save_carleson(report: CarlesonReport, path):

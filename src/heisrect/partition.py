@@ -25,20 +25,31 @@ def median_projected_spacing(chart):
     """Median nearest-neighbour gap of the distinct chart projections.
 
     Coincident projections (distinct samples in one fiber, plus float
-    dust) are skipped so the raster cell reflects actual structure.
-    Raises ValueError when no sample has a distinct projection among its
-    16 nearest neighbours, as when every sample shares one projection.
+    dust) are skipped so the raster cell reflects actual structure.  A
+    sample sees its 16 nearest neighbours first; one that finds no
+    distinct projection among them asks again with twice as many, up to
+    every sample.  Raises ValueError when every sample shares one
+    projection.
     """
     chart = np.asarray(chart, float).reshape(-1, 2)
-    if len(chart) > 1:
+    n = len(chart)
+    gap = np.full(n, np.nan)
+    if n > 1:
         scale = max(np.ptp(chart, axis=0).max(), 1e-30)
-        d, _ = cKDTree(chart).query(chart, k=min(len(chart), 16))
-        beyond = d > 1e-9 * scale
-        hit = beyond.any(axis=1)
-        if hit.any():
-            return float(np.median(d[hit, beyond[hit].argmax(axis=1)]))
-    raise ValueError("no sample has a distinct chart projection among its "
-                     "16 nearest neighbours")
+        kd = cKDTree(chart)
+        rows, k = np.arange(n), 16
+        while len(rows):
+            d, _ = kd.query(chart[rows], k=min(n, k))
+            beyond = d > 1e-9 * scale
+            hit = beyond.any(axis=1)
+            gap[rows[hit]] = d[hit, beyond[hit].argmax(axis=1)]
+            rows = rows[~hit]
+            if k >= n:
+                break
+            k *= 2
+    if np.isnan(gap).all():
+        raise ValueError("no sample has a distinct chart projection")
+    return float(np.median(gap[~np.isnan(gap)]))
 
 
 def projection_area(chart_rows, cell):

@@ -1,9 +1,11 @@
 import copy
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from heisrect import beta, burgers, core, cubes, graphs
 
@@ -218,6 +220,92 @@ def test_local_kernels_match_blocked_oracles(cloud):
         assert np.array_equal(tree.samples(cid),
                               np.flatnonzero(tree.label[j] == cid))
         assert tree.children(cid) == np.flatnonzero(tree.parent == cid).tolist()
+
+
+def full_rescan_net(points, radius, candidates=None):
+    """The greedy net with every distance rescanned at every step."""
+    idx = np.arange(len(points)) if candidates is None else np.asarray(candidates)
+    pts = points[idx]
+    chosen = [0]
+    d = core.dist(pts, pts[0])
+    while True:
+        far = int(np.argmax(d))
+        if d[far] < radius:
+            break
+        chosen.append(far)
+        d = np.minimum(d, core.dist(pts, pts[far]))
+    return idx[np.array(sorted(chosen))]
+
+
+@st.composite
+def translated_clouds(draw):
+    """small_clouds left-translated by one of a few group elements."""
+    pts, masses = draw(small_clouds())
+    shift = draw(st.sampled_from([(0.0, 0.0, 0.0), (300.0, -200.0, 0.0),
+                                  (0.0, 0.0, 1e3)]))
+    return core.mul(np.array(shift), pts), masses
+
+
+@settings(deadline=None, max_examples=80)
+@given(translated_clouds(), st.data())
+def test_box_query_holds_every_ball_pair(cloud, data):
+    pts = cloud[0]
+    n = len(pts)
+    centers = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                          max_size=n)))
+    ends = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                       min_size=len(centers),
+                                       max_size=len(centers))))
+    # radii equal to sample distances put samples on the sphere
+    radii = core.dist(pts[centers], pts[ends])
+    got = []
+    for rows, cols in cubes._box_query(cKDTree(pts), pts[centers], radii,
+                                       core.dist_error(pts)):
+        # rows ascending, then cols ascending, no pair twice
+        assert np.all(np.diff(rows * n + cols) > 0)
+        got += zip(rows.tolist(), cols.tolist())
+    assert len(got) == len(set(got))
+    ball = ((core.dist(pts[centers][:, None], pts[None]) <= radii[:, None])
+            | (core.dist(pts[None], pts[centers][:, None]) <= radii[:, None]))
+    assert set(zip(*np.nonzero(ball))) <= set(got)
+
+
+@settings(deadline=None, max_examples=80)
+@given(offset_clouds(), st.integers(-7, 3), st.booleans())
+def test_local_net_matches_full_rescan(cloud, k, subset):
+    pts = cloud[0]
+    cand = np.arange(0, len(pts), 2) if subset else None
+    # an exact sample distance as the radius makes ties at the cut
+    for radius in {2.0 ** k, float(core.dist(pts[0], pts[-1]))} - {0.0}:
+        assert np.array_equal(cubes.farthest_point_net(pts, radius, cand),
+                              full_rescan_net(pts, radius, cand))
+
+
+def json_dump_tree(tree, path):
+    """The tree file as json.dump writes it."""
+    rows = zip(tree.level.tolist(), tree.center_index.tolist(),
+               tree.parent.tolist(), tree.mass.tolist())
+    nodes = [{"id": cid, "level": j, "center_index": c,
+              "parent": p if p >= 0 else None, "mass": m,
+              "samples": tree.samples(cid).tolist()}
+             for cid, (j, c, p, m) in enumerate(rows)]
+    with open(path, "w") as fh:
+        json.dump({"j_min": tree.j_min, "j_max": tree.j_max, "nodes": nodes},
+                  fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_clouds(), st.lists(st.sampled_from(
+    [0.1, 1e-300, 1e22, 1.0, 2.5, math.inf, math.nan]), min_size=60,
+    max_size=60), st.integers(-3, 2))
+def test_save_tree_matches_json_dump(tmp_path_factory, cloud, masses, j_min):
+    pts = cloud[0]
+    tree = cubes.build_cubes(pts, masses[:len(pts)], j_min=j_min, j_max=3)
+    out = tmp_path_factory.mktemp("tree")
+    cubes.save_tree(tree, out / "fast.json")
+    json_dump_tree(tree, out / "oracle.json")
+    assert (out / "fast.json").read_bytes() == (out / "oracle.json").read_bytes()
 
 
 def test_top_level_falls_back_at_a_power_of_two(monkeypatch):
@@ -447,14 +535,6 @@ def test_corona_checkerboard(plane_tree):
     assert cubes.alias_multiplicity(coronas) <= 2 * branching - 1
 
 
-def test_corona_ball_multiplier():
-    assert cubes.corona_ball_multiplier(1.0) == 8.0
-    assert cubes.corona_ball_multiplier(0.5) == 16.0
-    assert cubes.corona_ball_multiplier(0.999) * 0.999 >= 8.0 - 1e-9
-    with pytest.raises(ValueError):
-        cubes.corona_ball_multiplier(0.0)
-
-
 def test_carleson_with_integral():
     g = burgers.grid_from_function(lambda y, t: np.abs(y), (-1, 1), (-1, 1),
                                    15, 15)
@@ -470,7 +550,6 @@ def test_tree_serialization(tmp_path, plane_tree):
     tree, _, _ = plane_tree
     path = tmp_path / "tree.json"
     cubes.save_tree(tree, path)
-    import json
     with open(path) as fh:
         payload = json.load(fh)
     assert payload["j_min"] == tree.j_min

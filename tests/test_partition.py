@@ -33,6 +33,18 @@ def test_projection_area_of_plane_ball():
     assert abs(area - 4 * r ** 3) <= 0.05 * 4 * r ** 3
 
 
+def test_spacing_looks_past_sixteen_shared_projections():
+    # 25 horizontal x-lines of 20 samples: every sample's 16 nearest
+    # neighbours share its projection, the nearest distinct one is 0.25 away
+    ys, ts = np.meshgrid(0.5 * np.arange(5), 0.25 * np.arange(5),
+                         indexing="ij")
+    base = np.column_stack([np.zeros(25), ys.ravel(), ts.ravel()])
+    pts = np.concatenate([core.mul(base, np.array([s, 0.0, 0.0]))
+                          for s in np.linspace(-1, 1, 20)])
+    chart = planes.project_chart(pts, W_YT)
+    assert abs(partition.median_projected_spacing(chart) - 0.25) <= 1e-12
+
+
 def test_projection_area_mass_bound():
     ps = flat_cloud(61)
     rng = np.random.default_rng(3)
