@@ -205,6 +205,45 @@ def _inside_balls(xyt, centers, radii):
     return inside
 
 
+def _long_rows(y):
+    """Samples of the horizontal rows y = const that hold three or more.
+
+    y lists the samples' y in (x, y) order.  Returns cols, those
+    samples' indices row by row, each row in x order (a stable sort by
+    y), and starts, the start of each row in cols.
+    """
+    by_row = np.argsort(y, kind="stable")
+    row_y = y[by_row]
+    starts = np.flatnonzero(np.concatenate(([True], row_y[1:] != row_y[:-1])))
+    counts = np.diff(starts, append=len(y))
+    long = counts >= 3
+    return (by_row[np.repeat(long, counts)],
+            (np.cumsum(counts * long) - counts)[long])
+
+
+def _row_ends(members, cols, starts):
+    """The members that are the first or the last member of their row.
+
+    members is a (sets, n) mask over the samples; cols and starts are
+    _long_rows' rows.  Each member of a shorter row is a row end.
+    """
+    k = len(cols)
+    m = np.take(members, cols, axis=1)
+    # 1 + the position of a member in cols, 0 elsewhere, so row maxima
+    # give the last member and, counted from the end, the first; int32
+    # holds every position (2**31 samples would take 48 GiB)
+    up = np.arange(1, k + 1, dtype=np.int32)
+    lo = k - np.maximum.reduceat(m * up[::-1], starts, axis=1)
+    hi = np.maximum.reduceat(m * up, starts, axis=1) - 1
+    short = np.ones(members.shape[1], bool)
+    short[cols] = False
+    keep = members & short
+    seg, row = np.nonzero(hi >= 0)
+    keep[seg, cols[lo[seg, row]]] = True
+    keep[seg, cols[hi[seg, row]]] = True
+    return keep
+
+
 def beta_vertical_batch(points, balls):
     """Exact vertical flatness records of a list of balls over one cloud.
 
@@ -217,6 +256,18 @@ def beta_vertical_batch(points, balls):
     pairs (one ball at least).  Balls of a chunk that hold the same
     samples (found by comparing whole mask rows) share one hull pass
     and width scan, and each scales the shared width by its own radius.
+
+    Only the first and the last member of each horizontal row y = const
+    of a member set enter its hull pass and width scan (the throw-away
+    step of Akl and Toussaint).  A member strictly between two others
+    of its row lies on a segment of members, so it is no hull vertex,
+    and a copy of a row's end adds no point; along any normal the
+    rounded projection is monotone in x within a row, so the midrange
+    offset is unchanged too.  Graph clouds sampled on a (y, t) grid
+    share few rows, and the hull input falls from all members to at
+    most two per row.  Only a row of three samples or more can hold
+    such a member, so the row maxima look at those rows alone and a
+    cloud whose rows hold one sample each costs one more mask pass.
     Returns one record per ball, None for a ball holding no sample.
     """
     pts = np.asarray(points, float).reshape(-1, 3)
@@ -225,6 +276,7 @@ def beta_vertical_batch(points, balls):
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     xy = np.ascontiguousarray(pts[:, :2])
     xyt = np.ascontiguousarray(pts.T)
+    cols, starts = _long_rows(xy[:, 1])
     step = max(1, CHUNK_PAIRS // len(pts))
     out = []
     for s in range(0, len(balls), step):
@@ -237,7 +289,8 @@ def beta_vertical_batch(points, balls):
         rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
         _, first, which = np.unique(rows, return_index=True,
                                     return_inverse=True)
-        seg, idx = np.divmod(np.flatnonzero(inside[first]), len(pts))
+        seg, idx = np.divmod(
+            np.flatnonzero(_row_ends(inside[first], cols, starts)), len(pts))
         # np.take gathers rows several times faster than fancy indexing
         hulls = _segment_hulls(np.take(xy, idx, axis=0), seg)
         per_set = _segment_widths(len(first), *hulls)

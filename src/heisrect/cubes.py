@@ -142,11 +142,12 @@ def farthest_point_net(points, radius, candidates=None):
 
 
 def _diameter(points):
-    """All-pairs diameter in 512-row blocks; the exact fallback of the
-    bounds below."""
-    return max(float(core.dist(points[s:s + 512, None, :],
+    """All-pairs diameter in blocks of graphs.PAIR_BUDGET pairs (one row
+    at least); the exact fallback of the bounds below."""
+    block = max(1, graphs.PAIR_BUDGET // len(points))
+    return max(float(core.dist(points[s:s + block, None, :],
                                points[None, :, :]).max())
-               for s in range(0, len(points), 512))
+               for s in range(0, len(points), block))
 
 
 def _box_half(radii, z, tol):

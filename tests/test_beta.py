@@ -190,6 +190,69 @@ def test_batch_matches_per_ball_oracle(case):
 
 
 @st.composite
+def row_clouds_and_balls(draw):
+    """Graph-like clouds: a few horizontal rows y = const with many
+    samples each, some sharing their (x, y) fibre, plus balls.
+
+    Coordinates are multiples of 1/8 or of 0.1, and the cloud moves by
+    a central or a horizontal left translation.  Multiples of 1/8 and
+    the dyadic translations keep every cross product exact; tenths and
+    the (0.1, -0.3, 1e3) translation round them.  Each row keeps one y
+    throughout.  Centers are samples moved by at most half a unit per
+    coordinate.
+    """
+    ys = draw(st.lists(st.integers(-16, 16), min_size=1, max_size=6,
+                       unique=True))
+    pts = []
+    for y in ys:
+        for x in draw(st.lists(st.integers(-32, 32), min_size=1,
+                               max_size=30)):
+            pts += [(x, y, t) for t in draw(st.lists(
+                st.integers(-64, 64), min_size=1, max_size=3))]
+    scale = draw(st.sampled_from([0.125, 0.1]))
+    shift = draw(st.sampled_from([(0.0, 0.0, 0.0), (0.0, 0.0, 37.5),
+                                  (3.0, -2.0, 0.0), (-0.5, 4.25, 1.0),
+                                  (0.1, -0.3, 1e3)]))
+    pts = core.mul(np.array(shift), np.array(pts, float) * scale)
+    moves = st.tuples(*[st.integers(-4, 4)] * 3)
+    centers = st.tuples(st.sampled_from(range(len(pts))), moves).map(
+        lambda cm: pts[cm[0]] + np.array(cm[1], float) / 8.0)
+    radii = st.sampled_from([0.125, 0.5, 1.0, 2.0, 4.0, 100.0])
+    balls = [beta.Ball(c, r) for c, r in draw(
+        st.lists(st.tuples(centers, radii), min_size=1, max_size=12))]
+    return pts, balls
+
+
+@settings(deadline=None, max_examples=100)
+@given(row_clouds_and_balls())
+def test_row_extremes_match_per_ball_oracle(case):
+    """Each distinct member set hands the hull pass at most two points
+    per row (2 * rows in all), and every record equals the all-member
+    oracle bit for bit."""
+    pts, balls = case
+    handed = []
+    hulls = beta._segment_hulls
+
+    def recording(xy, seg):
+        handed.append((xy.copy(), seg.copy()))
+        return hulls(xy, seg)
+
+    with mock.patch.object(beta, "_segment_hulls", recording):
+        got = beta.beta_vertical_batch(pts, balls)
+    for xy, seg in handed:
+        for w in np.unique(seg):
+            _, per_row = np.unique(xy[seg == w, 1], return_counts=True)
+            assert per_row.max() <= 2
+    for ball, rec in zip(balls, got):
+        ref = per_ball_oracle(pts, ball)
+        assert (rec is None) == (ref is None)
+        if rec is not None:
+            assert rec.ball is ball
+            assert _bits((rec.beta, rec.best_plane.subgroup.theta,
+                          rec.best_plane.offset)) == _bits(ref)
+
+
+@st.composite
 def shared_member_balls(draw):
     """A cloud and a ball list in which many balls hold the same samples.
 

@@ -322,6 +322,16 @@ def test_top_level_falls_back_at_a_power_of_two(monkeypatch):
         cubes.build_cubes(pts, np.ones(3), j_max=-1)
 
 
+@pytest.mark.parametrize("budget", [50, 7 * 101, graphs.PAIR_BUDGET])
+def test_diameter_blocks_by_pair_budget(monkeypatch, budget):
+    # blocks of 1, 7 and all 101 rows; 101 is no multiple of 7, and the
+    # farthest pair sits in the last, partial block
+    pts = np.random.default_rng(7).uniform(-1, 1, (101, 3))
+    pts[-1] = [40.0, -3.0, 5.0]
+    monkeypatch.setattr(graphs, "PAIR_BUDGET", budget)
+    assert cubes._diameter(pts) == blocked_diameter(pts)
+
+
 def test_inner_ball_without_outside_neighbours():
     # two far clusters of 20 samples: at the level that splits them no
     # center has an outside sample among its 8 Euclidean neighbours
