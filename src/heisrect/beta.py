@@ -125,13 +125,13 @@ def brute_min_width(points, n_directions=720):
 
 
 def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
-    """(width, theta, offset) of every segment, None for an empty one.
+    """(width, best vertical plane) of every segment, None for an empty one.
 
     Takes the output of _segment_hulls.  The optimal normal is
     perpendicular to some hull edge, so scanning edges is exact: per
     segment, the width along each edge normal is the spread of
-    `hull @ normals.T`, and the offset is the midrange of the segment's
-    distinct points along the best normal.
+    `hull @ normals.T`, and the plane's offset is the midrange of the
+    segment's distinct points along the best normal.
     """
     ids = np.arange(n_seg + 1)
     h_at = np.searchsorted(hull_seg, ids).tolist()
@@ -151,7 +151,9 @@ def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
         if h0 == h1:
             out.append(None)
         elif h1 - h0 == 1:
-            out.append((0.0, 0.0, float(hull[h0] @ np.array([0.0, 1.0]))))
+            out.append((0.0, planes.VerticalPlane(
+                planes.VerticalSubgroup(0.0),
+                float(hull[h0] @ np.array([0.0, 1.0])))))
         else:
             proj = hull[h0:h1] @ normals[h0:h1].T  # (n_hull, n_edges)
             widths = proj.max(axis=0) - proj.min(axis=0)
@@ -159,8 +161,8 @@ def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
             sub = planes.VerticalSubgroup(np.arctan2(edges[h0 + k, 1],
                                                      edges[h0 + k, 0]))
             along = pts[p_at[b]:p_at[b + 1]] @ sub.normal
-            out.append((float(widths[k]), sub.theta,
-                        float(0.5 * (along.max() + along.min()))))
+            out.append((float(widths[k]), planes.VerticalPlane(
+                sub, float(0.5 * (along.max() + along.min())))))
     return out
 
 
@@ -171,7 +173,10 @@ def min_width_direction(points):
     direction achieving the width and offset the midline position along
     the unit normal; the one-segment case of the batched scan.
     """
-    return _segment_widths(1, *_one_segment_hull(points))[0]
+    scan = _segment_widths(1, *_one_segment_hull(points))[0]
+    if scan is None:
+        return None
+    return scan[0], scan[1].subgroup.theta, scan[1].offset
 
 
 def points_in_ball(points, ball: Ball):
@@ -203,6 +208,18 @@ def _inside_balls(xyt, centers, radii):
     b += a
     inside &= np.sqrt(np.abs(b, out=b), out=b) <= r
     return inside
+
+
+def membership_chunks(xyt, centers, radii, pairs):
+    """_inside_balls over consecutive blocks of balls.
+
+    Each block holds at most `pairs` ball-sample pairs (one ball at
+    least).  Yields (start, mask) per block, row b of the mask being
+    ball start + b.
+    """
+    step = max(1, pairs // max(xyt.shape[1], 1))
+    for s in range(0, len(radii), step):
+        yield s, _inside_balls(xyt, centers[s:s + step], radii[s:s + step])
 
 
 def _long_rows(y):
@@ -254,8 +271,9 @@ def beta_vertical_batch(points, balls):
     ball's horizontal points come out of the membership test sorted;
     balls are then handled in chunks of at most CHUNK_PAIRS ball-sample
     pairs (one ball at least).  Balls of a chunk that hold the same
-    samples (found by comparing whole mask rows) share one hull pass
-    and width scan, and each scales the shared width by its own radius.
+    samples (found by comparing whole mask rows) share one hull pass,
+    width scan and best plane, and each scales the shared width by its
+    own radius.
 
     Only the first and the last member of each horizontal row y = const
     of a member set enter its hull pass and width scan (the throw-away
@@ -277,12 +295,11 @@ def beta_vertical_batch(points, balls):
     xy = np.ascontiguousarray(pts[:, :2])
     xyt = np.ascontiguousarray(pts.T)
     cols, starts = _long_rows(xy[:, 1])
-    step = max(1, CHUNK_PAIRS // len(pts))
+    centers = np.array([ball.center for ball in balls]).reshape(-1, 3)
+    radii = np.array([ball.radius for ball in balls], float)
     out = []
-    for s in range(0, len(balls), step):
-        chunk = balls[s:s + step]
-        inside = _inside_balls(xyt, [ball.center for ball in chunk],
-                               [ball.radius for ball in chunk])
+    for s, inside in membership_chunks(xyt, centers, radii, CHUNK_PAIRS):
+        chunk = balls[s:s + len(inside)]
         # one void value per packed row, so np.unique compares whole
         # rows byte by byte; first[w] is a ball holding member set w
         rows = np.packbits(inside, axis=1)
@@ -295,10 +312,8 @@ def beta_vertical_batch(points, balls):
         hulls = _segment_hulls(np.take(xy, idx, axis=0), seg)
         per_set = _segment_widths(len(first), *hulls)
         scans = [per_set[w] for w in which.tolist()]
-        out += [None if scan is None else BetaRecord(
-                    ball, 0.5 * scan[0] / ball.radius,
-                    planes.VerticalPlane(planes.VerticalSubgroup(scan[1]),
-                                         scan[2]))
+        out += [None if scan is None else
+                BetaRecord(ball, 0.5 * scan[0] / ball.radius, scan[1])
                 for ball, scan in zip(chunk, scans)]
     return out
 

@@ -11,13 +11,14 @@ chart planes.project_chart(points, planes.subgroup_y_t()), and every
 cube ball is B_Q = B(z_Q, cubes.BALL_MULTIPLIER * 2^j).
 """
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from . import beta as beta_mod
-from . import core, cubes, graphs, planes
+from . import cubes, graphs, planes
 from .cubes import CubeTree
 
 
@@ -81,21 +82,29 @@ def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
     return [cid for cid in tree.descendants(root_id) if beta_of[cid].beta > eps]
 
 
+# Ball-sample pairs per membership chunk of cover_counts and the coding
+# pass.  Both reduce each mask at once and share nothing across a chunk,
+# unlike the flatness batch, so they take a quarter of beta.CHUNK_PAIRS:
+# the kernel's two float buffers stay at 256 KB.  On the crossing-patches
+# benchmark cloud that made both passes faster and kept the coding pass
+# from raising the run's peak RSS.
+MASK_PAIRS = 2 ** 14
+
+
 def cover_counts(tree: CubeTree, flat_violators):
     """Per sample, how many violator balls B_Q contain it.
 
     The balls go through the membership kernel of the flatness batch in
-    chunks of at most beta.CHUNK_PAIRS ball-sample pairs.
+    chunks of at most MASK_PAIRS ball-sample pairs.
     """
     cids = np.asarray(flat_violators, dtype=int)
     centers = tree.points[tree.center_index[cids]]
     radii = cubes.BALL_MULTIPLIER * 2.0 ** tree.level[cids]
     xyt = np.ascontiguousarray(tree.points.T)
     counts = np.zeros(len(tree.points), dtype=int)
-    step = max(1, beta_mod.CHUNK_PAIRS // max(len(tree.points), 1))
-    for s in range(0, len(cids), step):
-        counts += beta_mod._inside_balls(xyt, centers[s:s + step],
-                                         radii[s:s + step]).sum(axis=0)
+    for _, inside in beta_mod.membership_chunks(xyt, centers, radii,
+                                                MASK_PAIRS):
+        counts += inside.sum(axis=0)
     return counts
 
 
@@ -131,6 +140,23 @@ class CodingResult:
     kept: np.ndarray
 
 
+def _prefix_ranges(codes):
+    """Prefix relations of 0/1 strings as ranges of sorted ranks.
+
+    Returns rank, the rank of each string among the sorted distinct
+    strings, and end, per rank the end of the run of ranks that start
+    with that string: the strings with prefix c are exactly c and the
+    ones between c + "0" and c + "2", so they sort next to each other.
+    Strings of ranks a <= b are one a prefix of the other exactly when
+    b < end[a].
+    """
+    distinct = sorted(set(codes))
+    rank = {code: k for k, code in enumerate(distinct)}
+    end = np.array([bisect.bisect_left(distinct, code + "2")
+                    for code in distinct])
+    return np.array([rank[code] for code in codes]), end
+
+
 def coding_partition(tree: CubeTree, root_id, flat_violators,
                      removed) -> CodingResult:
     """Generation-by-generation 0/1 coding of the cubes below a root.
@@ -138,8 +164,7 @@ def coding_partition(tree: CubeTree, root_id, flat_violators,
     Every cube starts from its parent's string.  At each generation,
     every flatness violator Q is paired with each same-generation cube
     inside its ball B_Q (processing order: level descending, violator
-    id ascending, partner id ascending); one distance call per violator
-    measures every cube's farthest sample from the center of Q:
+    id ascending, partner id ascending):
 
     * equal lengths and equal strings: Q gains "0", the partner "1";
     * unequal lengths with the shorter a prefix of the longer: the
@@ -151,29 +176,48 @@ def coding_partition(tree: CubeTree, root_id, flat_violators,
     proportional to the violator geometry.  Kept samples inherit the
     string of their finest cube; pieces are the level sets of the
     string map.
+
+    Per generation the root's samples are sorted by cube once, and the
+    violator balls go through the membership kernel of the flatness
+    batch in chunks of at most MASK_PAIRS ball-sample pairs; a cube is
+    inside B_Q when the logical and over its samples holds.
+    Strings only grow within a generation, so a pair whose strings are
+    mutually non-prefix at its start stays so and never changes a
+    string: one vectorized compare of sorted ranks (_prefix_ranges)
+    drops those pairs before the string logic visits the rest in order.
     """
-    violators = set(flat_violators)
+    violators = np.asarray(flat_violators, dtype=int)
     parent = tree.parent.tolist()
     sigma = {root_id: ""}
     bits_added = {}
     changes = {root_id: 0}
     scope = tree.samples(root_id)
-    pts = tree.points[scope]
     for level in range(int(tree.level[root_id]) - 1, tree.j_min - 1, -1):
-        gen, local = np.unique(tree.label[level][scope], return_inverse=True)
-        gen = gen.tolist()
+        labels = tree.label[level][scope]
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], labels[1:] != labels[:-1])))
+        gen_ids = labels[starts]
+        gen = gen_ids.tolist()
         for cid in gen:
             sigma[cid] = sigma[parent[cid]]
             bits_added[cid] = 0
-        ball_r = cubes.BALL_MULTIPLIER * 2.0 ** level
-        for q in gen:
-            if q not in violators:
-                continue
-            reach = np.zeros(len(gen))
-            np.maximum.at(reach, local, core.dist(pts, tree.center(q)))
-            for q1, r in zip(gen, reach.tolist()):
-                if q1 == q or r > ball_r:
-                    continue
+        qs = np.flatnonzero(np.isin(gen_ids, violators))
+        rank, end = _prefix_ranges([sigma[cid] for cid in gen])
+        xyt = np.ascontiguousarray(tree.points[scope[order]].T)
+        centers = tree.points[tree.center_index[gen_ids[qs]]]
+        radii = np.full(len(qs), cubes.BALL_MULTIPLIER * 2.0 ** level)
+        for first, inside in beta_mod.membership_chunks(xyt, centers, radii,
+                                                        MASK_PAIRS):
+            partner = np.logical_and.reduceat(inside, starts, axis=1)
+            block = qs[first:first + len(inside)]
+            partner[np.arange(len(block)), block] = False
+            v, p = np.nonzero(partner)
+            rv, rp = rank[block[v]], rank[p]
+            related = np.maximum(rv, rp) < end[np.minimum(rv, rp)]
+            for q, q1 in zip(gen_ids[block[v[related]]].tolist(),
+                             gen_ids[p[related]].tolist()):
                 s_q, s_q1 = sigma[q], sigma[q1]
                 if len(s_q) == len(s_q1):
                     if s_q == s_q1:

@@ -1,10 +1,11 @@
+import itertools
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisrect import beta, burgers, cli, core, cubes, graphs, partition, planes
+from heisrect import burgers, cli, core, cubes, graphs, partition, planes
 
 W_YT = planes.subgroup_y_t()
 
@@ -149,7 +150,8 @@ def trees_and_violators(draw):
 @given(trees_and_violators())
 def test_cover_counts_matches_per_violator_loop(case):
     tree, flat, multiplier, step = case
-    with mock.patch.object(beta, "CHUNK_PAIRS", step * len(tree.points)), \
+    with mock.patch.object(partition, "MASK_PAIRS",
+                           step * len(tree.points)), \
             mock.patch.object(cubes, "BALL_MULTIPLIER", multiplier):
         got = partition.cover_counts(tree, flat)
     want = loop_cover_counts(tree, flat, multiplier)
@@ -189,6 +191,112 @@ def test_coding_case_chase_hand_example():
     s = sorted(coding.cube_sigma[cid] for cid in gen)
     assert s == ["0", "1"]
     # the pair is visited twice; the second visit changes nothing
+
+
+def loop_coding_partition(tree, root_id, flat_violators, removed):
+    """Oracle: one core.dist pass over the root's samples per violator,
+    then a Python loop over every same-generation cube."""
+    violators = set(flat_violators)
+    parent = tree.parent.tolist()
+    sigma = {root_id: ""}
+    bits_added = {}
+    changes = {root_id: 0}
+    scope = tree.samples(root_id)
+    pts = tree.points[scope]
+    for level in range(int(tree.level[root_id]) - 1, tree.j_min - 1, -1):
+        gen, local = np.unique(tree.label[level][scope], return_inverse=True)
+        gen = gen.tolist()
+        for cid in gen:
+            sigma[cid] = sigma[parent[cid]]
+            bits_added[cid] = 0
+        ball_r = cubes.BALL_MULTIPLIER * 2.0 ** level
+        for q in gen:
+            if q not in violators:
+                continue
+            reach = np.zeros(len(gen))
+            np.maximum.at(reach, local, core.dist(pts, tree.center(q)))
+            for q1, r in zip(gen, reach.tolist()):
+                if q1 == q or r > ball_r:
+                    continue
+                s_q, s_q1 = sigma[q], sigma[q1]
+                if len(s_q) == len(s_q1):
+                    if s_q == s_q1:
+                        sigma[q] = s_q + "0"
+                        sigma[q1] = s_q1 + "1"
+                        bits_added[q] += 1
+                        bits_added[q1] += 1
+                elif len(s_q) > len(s_q1):
+                    if s_q.startswith(s_q1):
+                        bit = "1" if s_q[len(s_q1)] == "0" else "0"
+                        sigma[q1] = s_q1 + bit
+                        bits_added[q1] += 1
+                else:
+                    if s_q1.startswith(s_q):
+                        bit = "1" if s_q1[len(s_q)] == "0" else "0"
+                        sigma[q] = s_q + bit
+                        bits_added[q] += 1
+        for cid in gen:
+            up = parent[cid]
+            changes[cid] = changes[up] + (sigma[cid] != sigma[up])
+    removed = set(np.asarray(removed, dtype=int).tolist())
+    sample_sigma = {}
+    sample_changes = {}
+    finest = tree.label[tree.j_min][scope].tolist()
+    for s, cid in zip(scope.tolist(), finest):
+        if s in removed:
+            continue
+        sample_sigma[s] = sigma[cid]
+        sample_changes[s] = changes.get(cid, 0)
+    pieces = {}
+    for s, code in sample_sigma.items():
+        pieces.setdefault(code, []).append(s)
+    pieces = {code: np.array(sorted(idx), dtype=int)
+              for code, idx in pieces.items()}
+    kept = np.array(sorted(sample_sigma), dtype=int)
+    max_bits = max(bits_added.values(), default=0)
+    max_changes = max(sample_changes.values(), default=0)
+    return partition.CodingResult(sample_sigma, pieces, sigma, max_bits,
+                                  max_changes, kept)
+
+
+@st.composite
+def coding_cases(draw):
+    """A tree case of trees_and_violators, one of its roots and a
+    non-empty list of removed samples."""
+    tree, flat, multiplier, step = draw(trees_and_violators())
+    root = draw(st.sampled_from(tree.roots()))
+    removed = draw(st.lists(st.integers(0, len(tree.points) - 1),
+                            min_size=1, max_size=len(tree.points)))
+    return tree, root, flat, removed, multiplier, step
+
+
+@given(st.lists(st.text("01", max_size=5), min_size=1, max_size=12))
+def test_prefix_ranges_match_startswith(codes):
+    rank, end = partition._prefix_ranges(codes)
+    for (a, r_a), (b, r_b) in itertools.product(zip(codes, rank), repeat=2):
+        related = a.startswith(b) or b.startswith(a)
+        assert (max(r_a, r_b) < end[min(r_a, r_b)]) == related
+
+
+@settings(deadline=None, max_examples=150)
+@given(coding_cases())
+def test_coding_matches_per_violator_loop(case):
+    tree, root, flat, removed, multiplier, step = case
+    with mock.patch.object(partition, "MASK_PAIRS",
+                           step * len(tree.points)), \
+            mock.patch.object(cubes, "BALL_MULTIPLIER", multiplier):
+        got = partition.coding_partition(tree, root, flat, removed)
+        want = loop_coding_partition(tree, root, flat, removed)
+    assert got.sigma == want.sigma
+    assert got.cube_sigma == want.cube_sigma
+    assert list(got.pieces) == list(want.pieces)
+    for code, idx in want.pieces.items():
+        assert got.pieces[code].dtype == idx.dtype
+        assert np.array_equal(got.pieces[code], idx)
+    assert got.bits_per_generation == want.bits_per_generation
+    assert got.max_changes == want.max_changes
+    assert got.kept.dtype == want.kept.dtype
+    assert np.array_equal(got.kept, want.kept)
 
 
 SMALL_UNION = {"ny": 61, "nt": 7}
