@@ -3,8 +3,9 @@
 The distance from a point to a vertical plane is the Euclidean offset
 of its horizontal part from the plane's horizontal line, so the best
 vertical plane for a cloud in a ball is read off the minimum-width
-direction of the convex hull of the horizontal coordinates; rotating
-calipers make that exact.  The constant-gradient variant is an upper
+direction of the convex hull of the horizontal coordinates; the optimal
+direction is normal to a hull edge, so scanning every edge normal makes
+that exact.  The constant-gradient variant is an upper
 bound obtained by derivative-free fitting over a parametric candidate
 family.
 """
@@ -23,7 +24,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", core.as_point(self.center))
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("ball radius must be positive")
 
 
@@ -34,8 +35,9 @@ class BetaRecord:
     best_plane: planes.VerticalPlane
 
 
-# Ball-sample pairs per membership chunk of beta_vertical_batch; keeps
-# its temporaries to a few MB whatever the number of balls.
+# Ball-sample pairs per membership chunk of beta_vertical_batch, and
+# entries per stacked product of its width scan; keeps the temporaries
+# to a few MB whatever the number of balls or the length of a hull.
 CHUNK_PAIRS = 2 ** 16
 
 
@@ -124,18 +126,52 @@ def brute_min_width(points, n_directions=720):
     return float(widths[k]), float(thetas[k]), float(0.5 * (along.max() + along.min()))
 
 
+def _padded_stacks(sizes, per_set):
+    """Groups of sets for stacked products over rows padded to one length.
+
+    sizes lists each set's row count.  Sets are taken in order of size;
+    a group's sets are at most twice as long as its shortest, and
+    len(sets) * per_set(w) <= CHUNK_PAIRS for its padded length w (or
+    the group is one set).  Yields (sets, pad) with pad the
+    (len(sets), w) row offsets, 0..size-1 and then 0 again, so each set
+    is padded with its first row.
+    """
+    order = np.argsort(sizes, kind="stable")
+    by_size = sizes[order]
+    s = 0
+    while s < len(order):
+        e = int(np.searchsorted(by_size, 2 * by_size[s], side="right"))
+        e = min(e, s + max(1, CHUNK_PAIRS // per_set(int(by_size[e - 1]))))
+        w = int(by_size[e - 1])
+        j = np.arange(w)
+        yield order[s:e], np.where(j < by_size[s:e, None], j, 0)
+        s = e
+
+
 def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
     """(width, best vertical plane) of every segment, None for an empty one.
 
     Takes the output of _segment_hulls.  The optimal normal is
-    perpendicular to some hull edge, so scanning edges is exact: per
-    segment, the width along each edge normal is the spread of
-    `hull @ normals.T`, and the plane's offset is the midrange of the
-    segment's distinct points along the best normal.
+    perpendicular to some hull edge, so scanning every edge normal is
+    exact: per segment, the width along each edge normal is the spread
+    of `hull @ normals.T`, the first edge of least width gives the
+    plane's direction, and its offset is the midrange of the segment's
+    distinct points along the plane's normal.  Segments go through
+    _padded_stacks, so both products run as stacked matmuls of at most
+    CHUNK_PAIRS entries (a hull too long for that alone is split into
+    blocks of two edges or more): the same BLAS products, entry for
+    entry, as one matmul per segment, and padding with a segment's
+    first row changes no maximum, minimum or first argmin.
+    (OpenBLAS computes each entry with the same fused multiply-adds
+    whatever the matrix shape; an elementwise x*nx + y*ny rounds
+    differently, and a one-column product is a gemv that differs too.)
+    Direction angles, normals and offsets are computed for all segments
+    at once, as planes.VerticalSubgroup would one by one.
     """
     ids = np.arange(n_seg + 1)
-    h_at = np.searchsorted(hull_seg, ids).tolist()
-    p_at = np.searchsorted(pts_seg, ids).tolist()
+    h_at = np.searchsorted(hull_seg, ids)
+    p_at = np.searchsorted(pts_seg, ids)
+    h_size = np.diff(h_at)
     # edge k runs from vertex k to the next one of its own hull; a
     # one-vertex hull gets a zero edge, never read
     nxt = np.arange(1, len(hull) + 1)
@@ -145,25 +181,45 @@ def _segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     edges = edges / np.where(lengths > 0, lengths, 1.0)[:, None]
     normals = np.stack([-edges[:, 1], edges[:, 0]], axis=-1)
-    out = []
-    for b in range(n_seg):
-        h0, h1 = h_at[b], h_at[b + 1]
-        if h0 == h1:
-            out.append(None)
-        elif h1 - h0 == 1:
-            out.append((0.0, planes.VerticalPlane(
-                planes.VerticalSubgroup(0.0),
-                float(hull[h0] @ np.array([0.0, 1.0])))))
-        else:
-            proj = hull[h0:h1] @ normals[h0:h1].T  # (n_hull, n_edges)
-            widths = proj.max(axis=0) - proj.min(axis=0)
-            k = int(np.argmin(widths))
-            sub = planes.VerticalSubgroup(np.arctan2(edges[h0 + k, 1],
-                                                     edges[h0 + k, 0]))
-            along = pts[p_at[b]:p_at[b + 1]] @ sub.normal
-            out.append((float(widths[k]), planes.VerticalPlane(
-                sub, float(0.5 * (along.max() + along.min())))))
-    return out
+    multi = np.flatnonzero(h_size > 1)
+    width = np.zeros(n_seg)
+    best = np.zeros(n_seg, int)
+    for sets, pad in _padded_stacks(h_size[multi], lambda w: w * w):
+        seg = multi[sets]
+        rows = h_at[seg, None] + pad
+        h = hull[rows]
+        w = pad.shape[1]
+        cols = w if len(seg) * w * w <= CHUNK_PAIRS else max(
+            2, CHUNK_PAIRS // w)
+        # blocks of two edges or more
+        cuts = list(range(cols, w - 1, cols)) + [w]
+        spread = np.concatenate([
+            np.ptp(h @ normals[rows[:, c0:c1]].transpose(0, 2, 1), axis=1)
+            for c0, c1 in zip([0] + cuts[:-1], cuts)], axis=1)
+        k = np.argmin(spread, axis=1)
+        width[seg] = spread[np.arange(len(seg)), k]
+        best[seg] = rows[np.arange(len(seg)), k]
+    # as core.normalize_angle and VerticalSubgroup.normal, elementwise
+    e = edges[best[multi]]
+    theta = np.zeros(n_seg)
+    theta[multi] = np.remainder(np.arctan2(e[:, 1], e[:, 0]), np.pi)
+    theta[theta >= np.pi] -= np.pi
+    normal = planes._snap(np.stack([-np.sin(theta), np.cos(theta)], axis=-1))
+    # a one-point segment's offset is its point @ (0, 1), one dot product
+    # that sums from 0.0, so a zero comes out positive
+    one = h_at[:-1][h_size == 1]
+    offset = np.zeros(n_seg)
+    offset[h_size == 1] = 0.0 + (hull[one, 0] * 0.0 + hull[one, 1])
+    # the gathered points, their row offsets and the product take 32
+    # bytes a point, four products' worth
+    for sets, pad in _padded_stacks(np.diff(p_at)[multi], lambda w: 4 * w):
+        seg = multi[sets]
+        along = (pts[p_at[seg, None] + pad] @ normal[seg, :, None])[..., 0]
+        offset[seg] = 0.5 * (along.max(axis=1) + along.min(axis=1))
+    return [None if size == 0 else
+            (w, planes.VerticalPlane(planes.VerticalSubgroup(th), off))
+            for size, w, th, off in zip(h_size.tolist(), width.tolist(),
+                                        theta.tolist(), offset.tolist())]
 
 
 def min_width_direction(points):
@@ -184,30 +240,121 @@ def points_in_ball(points, ball: Ball):
     return core.dist(pts, ball.center) <= ball.radius
 
 
+# Half-width m of the band around r*r inside which s = a*a + b*b does
+# not decide hypot(a, b) <= r.  With u = 2^-53, s lies within a factor
+# (1 +- u)^2 of h^2, h the exact norm of (a, b), and each band edge
+# within (1 +- u)^2 of r*r*(1 -+ m).  So s <= r*r*(1 - m) gives
+# h <= r (1 - m/2 + 2u) and s > r*r*(1 + m) gives h > r (1 + m/2 - 2u),
+# up to O(u^2); a hypot within 4 ulps (8u) then falls on the same side
+# of r as long as m/2 > 10u.  m = 32u leaves room.
+SQUARE_BAND = 2.0 ** -48
+
+# Radii whose squares and band edges are normal doubles, so the bounds
+# above hold: a subnormal a*a or b*b errs by at most 2^-1075, far below
+# u r*r.  Other radii, and inf, take np.hypot; _full_balls keeps to
+# this range too.
+RADIUS_RANGE = (2.0 ** -500, 2.0 ** 500)
+
+
+def _sqrt_bound(radii):
+    """Per radius r, the largest double T with np.sqrt(T) <= r.
+
+    np.sqrt is correctly rounded and so monotone: for every double
+    d >= 0, sqrt(d) <= r exactly when d <= T.  T starts at r*r, within
+    an ulp or two of the answer, and steps through neighbouring doubles
+    until it meets the definition.  A negative radius gives -inf and a
+    NaN radius NaN, so the comparison fails for every d, as sqrt's does.
+    """
+    r = np.asarray(radii, float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.where(r < 0, -np.inf, r * r)
+        while (down := np.sqrt(t) > r).any():
+            t[down] = np.nextafter(t[down], -np.inf)
+        while True:
+            nxt = np.nextafter(t, np.inf)
+            up = (np.sqrt(nxt) <= r) & (nxt > t)
+            if not up.any():
+                return t
+            t[up] = nxt[up]
+
+
+# Ball-sample pairs per _inside_balls call.  Its two float buffers stay
+# at 256 KB: over the cube balls of a 1,296-sample cloud the kernel took
+# 0.038 s so and 0.060 s with 512 KB buffers (2 MB L2 per core).
+KERNEL_PAIRS = 2 ** 15
+
+
 def _inside_balls(xyt, centers, radii):
     """Mask core.dist(p, c) <= r of a block of balls against all samples.
 
     xyt holds the samples' x, y and t rows, shape (3, n); row b of the
     (balls, n) mask is ball (centers[b], radii[b]).  The relative
-    position (-c) . p and its norm take the floating-point operations of
-    core.mul(core.inv(c), p) and core.norm in the same order, evaluated
-    in place in two (balls, n) buffers, so the mask is bit for bit the
-    one core.dist gives.
+    position (-c) . p takes the floating-point operations of
+    core.mul(core.inv(c), p) in the same order, in place in two
+    (balls, n) buffers, and the norm test is decided without np.hypot
+    or np.sqrt, so the mask is bit for bit the one core.dist gives:
+
+    - hypot(a, b) <= r from s = a*a + b*b against r*r*(1 -+ SQUARE_BAND).
+      Only the pairs whose s falls inside that band take np.hypot, on
+      the same a and b recomputed from gathered coordinates, and so
+      does every row of a ball whose radius lies outside RADIUS_RANGE
+      or is not finite.  A NaN s (a NaN coordinate) lies outside the
+      band; hypot is then NaN or inf, above every finite radius.
+    - sqrt(|t-term|) <= r as |t-term| <= _sqrt_bound(r), which is exact.
     """
     neg = -np.asarray(centers, float).reshape(-1, 3)
     cx, cy, ct = neg[:, 0:1], neg[:, 1:2], neg[:, 2:3]
-    r = np.asarray(radii, float).reshape(-1, 1)
+    r = np.asarray(radii, float).reshape(-1)
+    tame = (r >= RADIUS_RANGE[0]) & (r <= RADIUS_RANGE[1])
+    rr = np.where(tame, r, 1.0)[:, None] ** 2
     x, y, t = xyt
     a = np.add(cx, x)
     b = np.add(cy, y)
-    inside = np.hypot(a, b, out=a) <= r
+    with np.errstate(over="ignore"):
+        a *= a
+        b *= b
+    a += b
+    inside = a <= rr * (1.0 - SQUARE_BAND)
+    near = a <= rr * (1.0 + SQUARE_BAND)
+    if np.count_nonzero(near) != np.count_nonzero(inside):
+        rows, cols = np.nonzero(near ^ inside)
+        inside[rows, cols] = np.hypot(cx[rows, 0] + x[cols],
+                                      cy[rows, 0] + y[cols]) <= r[rows]
+    wild = np.flatnonzero(~tame)
+    if len(wild):
+        inside[wild] = np.hypot(cx[wild] + x, cy[wild] + y) <= r[wild, None]
     np.multiply(cx, y, out=a)
     a -= np.multiply(cy, x, out=b)
     a *= 0.5
     np.add(ct, t, out=b)
     b += a
-    inside &= np.sqrt(np.abs(b, out=b), out=b) <= r
+    inside &= np.less_equal(np.abs(b, out=b), _sqrt_bound(r)[:, None],
+                            out=near)
     return inside
+
+
+def _full_balls(xyt, centers, radii):
+    """Which balls provably hold every sample.
+
+    One eccentricity row from an anchor sample a (the sample nearest the
+    coordinatewise median) gives e = max core.dist(p, a).  By the
+    triangle inequality and core.dist_error's bound tol over samples and
+    centers, core.dist(p, c) <= core.dist(c, a) + e + 3 tol for every
+    sample p; core.BOX_SLACK absorbs the rounding of that sum.  Only
+    radii in RADIUS_RANGE qualify, so the distances involved neither
+    overflow nor lose more to underflow than BOX_SLACK covers.
+    """
+    n = xyt.shape[1]
+    if n == 0 or len(radii) == 0:
+        return np.zeros(len(radii), bool)
+    pts = xyt.T
+    anchor = pts[np.argmin(core.dist(pts, np.median(xyt, axis=1)))]
+    ecc = float(core.dist(pts, anchor).max())
+    tol = core.dist_error(np.vstack([pts, centers]))
+    bound = ((core.dist(centers, anchor) + ecc + 3.0 * tol)
+             * (1.0 + core.BOX_SLACK))
+    return ((bound <= radii) & (radii >= RADIUS_RANGE[0])
+            & (radii <= RADIUS_RANGE[1]))
 
 
 def membership_chunks(xyt, centers, radii, pairs):
@@ -215,11 +362,23 @@ def membership_chunks(xyt, centers, radii, pairs):
 
     Each block holds at most `pairs` ball-sample pairs (one ball at
     least).  Yields (start, mask) per block, row b of the mask being
-    ball start + b.
+    ball start + b.  Rows of balls that _full_balls certifies are all
+    True and cost no distance; the other rows go through _inside_balls
+    at most KERNEL_PAIRS pairs at a time.
     """
-    step = max(1, pairs // max(xyt.shape[1], 1))
+    centers = np.asarray(centers, float).reshape(-1, 3)
+    radii = np.asarray(radii, float).reshape(-1)
+    n = xyt.shape[1]
+    open_rows = np.flatnonzero(~_full_balls(xyt, centers, radii))
+    step = max(1, pairs // max(n, 1))
+    block = max(1, min(pairs, KERNEL_PAIRS) // max(n, 1))
     for s in range(0, len(radii), step):
-        yield s, _inside_balls(xyt, centers[s:s + step], radii[s:s + step])
+        inside = np.ones((min(step, len(radii) - s), n), bool)
+        rows = open_rows[slice(*np.searchsorted(open_rows, [s, s + step]))]
+        for k in range(0, len(rows), block):
+            part = rows[k:k + block]
+            inside[part - s] = _inside_balls(xyt, centers[part], radii[part])
+        yield s, inside
 
 
 def _long_rows(y):

@@ -16,6 +16,10 @@ import numpy as np
 
 HPoint = np.ndarray  # shape (..., 3), coordinates [x, y, t]
 
+# relative widening of a bound built from dist values and dist_error,
+# for the rounding of the bound's own sums and of |z|
+BOX_SLACK = 1e-9
+
 
 def as_point(x, y=None, t=None) -> HPoint:
     """Build a point from three scalars, or pass an array through."""

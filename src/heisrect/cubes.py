@@ -28,10 +28,6 @@ from scipy.spatial import cKDTree
 from . import beta as beta_mod
 from . import core, graphs
 
-# relative widening of every neighbourhood box, for the rounding of the
-# box edges and of |z| on top of core.dist_error's bound
-BOX_SLACK = 1e-9
-
 # the ball of cube Q at level j is B_Q = B(z_Q, BALL_MULTIPLIER * 2^j),
 # for its flatness, the cover counts and the coding alike
 BALL_MULTIPLIER = 4.0
@@ -159,7 +155,7 @@ def _box_half(radii, z, tol):
     by the rounding bound tol first.
     """
     r = radii + tol
-    return np.maximum(r, r * r + 0.5 * z * r) * (1.0 + BOX_SLACK) + tol
+    return np.maximum(r, r * r + 0.5 * z * r) * (1.0 + core.BOX_SLACK) + tol
 
 
 def _box_query(kd, centers, radii, tol):
@@ -255,7 +251,7 @@ def _diameter_bracket(points, tol):
     anchor = int(np.argmin(core.dist(points, np.median(points, axis=0))))
     ecc = core.dist(points, points[anchor])
     lo = float(core.dist(points, points[int(np.argmax(ecc))]).max())
-    hi = 2.0 * (float(ecc.max()) + tol) * (1.0 + BOX_SLACK) + tol
+    hi = 2.0 * (float(ecc.max()) + tol) * (1.0 + core.BOX_SLACK) + tol
     return lo, hi
 
 
@@ -270,7 +266,7 @@ def _top_level(points, tol):
         return 0
     k = math.ceil(math.log2(hi))
     # log2 of anything in (2^(k-1) (1 + slack), 2^k] has ceiling k
-    if not (lo > 2.0 ** (k - 1) * (1.0 + BOX_SLACK) and hi <= 2.0 ** k):
+    if not (lo > 2.0 ** (k - 1) * (1.0 + core.BOX_SLACK) and hi <= 2.0 ** k):
         diam = _diameter(points)
         if diam == 0:
             return 0
@@ -383,7 +379,8 @@ def check_tree_invariants(tree: CubeTree):
         if np.any(tree.parent[lab] != up):
             raise AssertionError(f"nesting violated at level {j}")
         reach = core.dist(points, points[tree.center_index[lab]])
-        uncertified = 2.0 * (reach + tol) * (1.0 + BOX_SLACK) + tol > 2.0 ** j
+        uncertified = (2.0 * (reach + tol) * (1.0 + core.BOX_SLACK) + tol
+                       > 2.0 ** j)
         for cid in np.unique(lab[uncertified]).tolist():
             if _diameter(points[lab == cid]) > 2.0 ** j:
                 raise AssertionError(f"diameter bound violated at level {j}")

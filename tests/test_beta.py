@@ -1,9 +1,10 @@
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heisrect import beta, burgers, cli, core, graphs, planes
 
@@ -105,6 +106,102 @@ def test_min_width_within_brute_grid(points):
     diam = np.ptp(pts, axis=0).max() * np.sqrt(2)
     assert width <= brute + 1e-9 * (1 + diam)
     assert brute - width <= (np.pi / 720) * diam + 1e-9
+
+
+def loop_segment_widths(n_seg, hull, hull_seg, pts, pts_seg):
+    """Oracle: the width scan one segment at a time, one matmul each."""
+    ids = np.arange(n_seg + 1)
+    h_at = np.searchsorted(hull_seg, ids).tolist()
+    p_at = np.searchsorted(pts_seg, ids).tolist()
+    nxt = np.arange(1, len(hull) + 1)
+    first, last = beta._run_ends(hull_seg)
+    nxt[last] = np.flatnonzero(first)
+    edges = hull[nxt] - hull
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    edges = edges / np.where(lengths > 0, lengths, 1.0)[:, None]
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=-1)
+    out = []
+    for b in range(n_seg):
+        h0, h1 = h_at[b], h_at[b + 1]
+        if h0 == h1:
+            out.append(None)
+        elif h1 - h0 == 1:
+            out.append((0.0, 0.0, float(hull[h0] @ np.array([0.0, 1.0]))))
+        else:
+            proj = hull[h0:h1] @ normals[h0:h1].T
+            widths = proj.max(axis=0) - proj.min(axis=0)
+            k = int(np.argmin(widths))
+            sub = planes.VerticalSubgroup(np.arctan2(edges[h0 + k, 1],
+                                                     edges[h0 + k, 0]))
+            along = pts[p_at[b]:p_at[b + 1]] @ sub.normal
+            out.append((float(widths[k]), sub.theta,
+                        float(0.5 * (along.max() + along.min()))))
+    return out
+
+
+def segment_hulls_of(sets):
+    """_segment_hulls input and output for a list of planar point sets;
+    an empty set gives an empty segment."""
+    pts = [np.array(p, float).reshape(-1, 2) for p in sets]
+    pts = [p[np.lexsort((p[:, 1], p[:, 0]))] for p in pts]
+    seg = np.repeat(np.arange(len(pts)), [len(p) for p in pts])
+    return beta._segment_hulls(np.vstack(pts), seg)
+
+
+def scan_bits(scans):
+    """Bits of (width, theta, offset) per scan of _segment_widths, or of
+    the oracle's (width, theta, offset); None for an empty segment."""
+    return [None if scan is None else _bits(
+        (scan[0], scan[1].subgroup.theta, scan[1].offset)
+        if len(scan) == 2 else scan) for scan in scans]
+
+
+@st.composite
+def width_segments(draw):
+    """Segments of integer_clouds (one vertex, two vertices, collinear
+    runs, duplicate rows), some empty, scaled by factors that round and
+    by negative ones that turn zeros into -0.0."""
+    scale = draw(st.sampled_from([1.0, -1.0, 0.125, 0.1, -0.1, 3e5]))
+    sets = draw(st.lists(st.one_of(st.just([]), integer_clouds()),
+                         min_size=1, max_size=10))
+    return [[[scale * x, scale * y] for x, y in p] for p in sets]
+
+
+@settings(deadline=None, max_examples=100)
+@given(width_segments(), st.sampled_from([beta.CHUNK_PAIRS, 1, 7, 64]))
+def test_segment_widths_match_per_segment_loop(sets, pairs):
+    """The stacked width scan equals the per-segment loop bit for bit,
+    also when tiny stacks split every hull into blocks of edges."""
+    hulls = segment_hulls_of(sets)
+    want = loop_segment_widths(len(sets), *hulls)
+    with mock.patch.object(beta, "CHUNK_PAIRS", pairs):
+        got = beta._segment_widths(len(sets), *hulls)
+    assert scan_bits(got) == scan_bits(want)
+
+
+def test_segment_widths_split_long_hulls_within_memory():
+    """One call over hulls of 1 to 2,000 vertices (points on circles):
+    _padded_stacks puts short hulls many to a stack and splits the long
+    ones into edge blocks, so no product exceeds CHUNK_PAIRS entries;
+    one matmul per segment would take 32 MB for the longest."""
+    sizes = [1, 2, 3, 4, 7, 12, 30, 64, 100, 255, 256, 257, 600, 1333, 2000]
+    sets = []
+    for k, n in enumerate(sizes):
+        phi = 2.0 * np.pi * np.arange(n) / n
+        sets.append(np.column_stack([np.cos(phi), np.sin(phi)]) * (k + 1.5)
+                    + [0.1 * k, -0.3])
+    hulls = segment_hulls_of(sets)
+    assert np.bincount(hulls[1]).max() > 1900
+    want = loop_segment_widths(len(sets), *hulls)
+    tracemalloc.start()
+    try:
+        got = beta._segment_widths(len(sets), *hulls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.5 MB at 2^16 pairs, 0.9 MB measured
+    assert peak <= 24 * beta.CHUNK_PAIRS
+    assert scan_bits(got) == scan_bits(want)
 
 
 def per_ball_oracle(points, ball):
@@ -294,20 +391,91 @@ def shared_member_balls(draw):
     return pts, [balls[k] for k in order], draw(st.integers(1, 7))
 
 
+def ring_balls(pts, centers):
+    """Around each distinct center, balls through every sample and one
+    and two ulps either side of it, and balls of radius 1e-200, 1e200
+    and inf.  Returns (centers, radii)."""
+    unique = np.unique(centers, axis=0)
+    ring = [core.dist(pts[None, :, :], unique[:, None, :]).ravel()]
+    for step in (np.inf, -np.inf):
+        ring += [np.nextafter(ring[0], step)]
+        ring += [np.nextafter(ring[-1], step)]
+    special = [1e-200, 1e200, np.inf]
+    return (np.vstack([np.repeat(unique, len(pts), axis=0)] * len(ring)
+                      + [np.repeat(unique, len(special), axis=0)]),
+            np.concatenate(ring + [np.tile(special, len(unique))]))
+
+
+ON_RING = (np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 1.0]]),
+           [beta.Ball(np.zeros(3), 5.0)], 1)
+
+
 @settings(deadline=None, max_examples=80)
-@given(shared_member_balls())
-def test_inside_balls_matches_core_dist(case):
-    # the drawn balls, plus around each center one ball through every
-    # sample, so each sample sits on some ball's boundary
+@given(shared_member_balls(),
+       st.one_of(st.integers(-30, 30), st.sampled_from([-540, 520])),
+       st.sampled_from([0.0, 1e3, -1e9, 1e12]))
+@example(ON_RING, 0, 0.0)
+# the squares and products of the far scales overflow on purpose
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+def test_inside_balls_matches_core_dist(case, exponent, lift):
+    """The mask is core.dist(p, c) <= r bit for bit.
+
+    The cloud and centers are dilated by 2^exponent and lifted by a
+    central translation (0, 0, lift); at 2^-540 and 2^520 squares under-
+    and overflow.  Besides the drawn balls come ring_balls, so pairs
+    fall inside the band of the squared test and radii lie outside
+    RADIUS_RANGE.  A pair whose horizontal distance is a radius in
+    RADIUS_RANGE lies inside the band, and then the band fallback must
+    have called np.hypot on gathered pairs; ON_RING has such a pair,
+    (3, 4) at radius 5.
+    """
     pts, balls, _ = case
-    centers = np.array([ball.center for ball in balls])
-    ring = core.dist(pts[None, :, :], centers[:, None, :]).ravel()
-    centers = np.vstack([centers, np.repeat(centers, len(pts), axis=0)])
-    radii = np.concatenate([[ball.radius for ball in balls], ring])
+    lift = core.as_point(0.0, 0.0, lift)
+    pts = core.mul(lift, core.dilate(2.0 ** exponent, pts))
+    centers = core.mul(lift, core.dilate(2.0 ** exponent, np.array(
+        [ball.center for ball in balls])))
+    ring_centers, ring_radii = ring_balls(pts, centers)
+    centers = np.vstack([centers, ring_centers])
+    radii = np.concatenate([[ball.radius * 2.0 ** exponent
+                             for ball in balls], ring_radii])
     want = core.dist(pts[None, :, :], centers[:, None, :]) <= radii[:, None]
-    got = beta._inside_balls(np.ascontiguousarray(pts.T), centers, radii)
+    with mock.patch.object(np, "hypot", wraps=np.hypot) as hypot:
+        got = beta._inside_balls(np.ascontiguousarray(pts.T), centers, radii)
     assert got.dtype == bool
     assert np.array_equal(got, want)
+    rel = pts[None, :, :2] - centers[:, None, :2]
+    lo, hi = beta.RADIUS_RANGE
+    on_ring = ((np.hypot(rel[..., 0], rel[..., 1]) == radii[:, None])
+               & (radii[:, None] >= lo) & (radii[:, None] <= hi))
+    if on_ring.any():
+        assert [c for c in hypot.call_args_list if np.ndim(c.args[0]) == 1]
+
+
+@settings(deadline=None, max_examples=60)
+@given(shared_member_balls(), st.integers(1, 3))
+def test_membership_chunks_match_core_dist(case, kernel):
+    """Chunked masks equal core.dist(p, c) <= r, also for the balls that
+    _full_balls certifies without a distance pass and when the kernel
+    takes 1-3 balls per call.  Each center also gets its exact
+    eccentricity as a radius, and that radius an ulp smaller, so some
+    balls hold every sample only just and some miss one; each ball of
+    radius 1e3 holds the whole cloud by far and must be certified."""
+    pts, balls, step = case
+    centers = np.array([ball.center for ball in balls])
+    ecc = core.dist(pts[None, :, :], centers[:, None, :]).max(axis=1)
+    centers = np.vstack([centers] * 3)
+    radii = np.concatenate([[ball.radius for ball in balls], ecc,
+                            np.nextafter(ecc, 0.0)])
+    xyt = np.ascontiguousarray(pts.T)
+    want = core.dist(pts[None, :, :], centers[:, None, :]) <= radii[:, None]
+    full = beta._full_balls(xyt, centers, radii)
+    assert want[full].all()
+    assert full[radii == 1e3].all()
+    with mock.patch.object(beta, "KERNEL_PAIRS", kernel * len(pts)):
+        got = list(beta.membership_chunks(xyt, centers, radii,
+                                          step * len(pts)))
+    assert [s for s, _ in got] == list(range(0, len(radii), step))
+    assert np.array_equal(np.vstack([m for _, m in got]), want)
 
 
 @settings(deadline=None, max_examples=80)
@@ -539,3 +707,12 @@ def test_beta_empty_ball_raises():
     pts = np.zeros((3, 3))
     with pytest.raises(ValueError):
         beta.beta_vertical(pts, beta.Ball(np.array([50.0, 0, 0]), 0.5))
+
+
+def test_ball_rejects_nan_radius():
+    for radius in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            beta.Ball(np.zeros(3), radius)
+    rec = beta.beta_vertical_batch(np.zeros((3, 3)),
+                                   [beta.Ball(np.zeros(3), np.inf)])[0]
+    assert rec.beta == 0.0
