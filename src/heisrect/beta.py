@@ -381,27 +381,24 @@ def membership_chunks(xyt, centers, radii, pairs):
         yield s, inside
 
 
-def _long_rows(y):
-    """Samples of the horizontal rows y = const that hold three or more.
+def _rows(y):
+    """The samples' horizontal rows y = const.
 
-    y lists the samples' y in (x, y) order.  Returns cols, those
-    samples' indices row by row, each row in x order (a stable sort by
-    y), and starts, the start of each row in cols.
+    y lists the samples' y in (x, y) order.  Returns cols, the samples'
+    indices row by row, each row in x order (a stable sort by y), and
+    starts, the start of each row in cols.
     """
-    by_row = np.argsort(y, kind="stable")
-    row_y = y[by_row]
-    starts = np.flatnonzero(np.concatenate(([True], row_y[1:] != row_y[:-1])))
-    counts = np.diff(starts, append=len(y))
-    long = counts >= 3
-    return (by_row[np.repeat(long, counts)],
-            (np.cumsum(counts * long) - counts)[long])
+    cols = np.argsort(y, kind="stable")
+    row_y = y[cols]
+    return cols, np.flatnonzero(
+        np.concatenate(([True], row_y[1:] != row_y[:-1])))
 
 
 def _row_ends(members, cols, starts):
     """The members that are the first or the last member of their row.
 
     members is a (sets, n) mask over the samples; cols and starts are
-    _long_rows' rows.  Each member of a shorter row is a row end.
+    _rows' rows.
     """
     k = len(cols)
     m = np.take(members, cols, axis=1)
@@ -411,9 +408,7 @@ def _row_ends(members, cols, starts):
     up = np.arange(1, k + 1, dtype=np.int32)
     lo = k - np.maximum.reduceat(m * up[::-1], starts, axis=1)
     hi = np.maximum.reduceat(m * up, starts, axis=1) - 1
-    short = np.ones(members.shape[1], bool)
-    short[cols] = False
-    keep = members & short
+    keep = np.zeros_like(members)
     seg, row = np.nonzero(hi >= 0)
     keep[seg, cols[lo[seg, row]]] = True
     keep[seg, cols[hi[seg, row]]] = True
@@ -442,10 +437,8 @@ def beta_vertical_batch(points, balls):
     rounded projection is monotone in x within a row, so the midrange
     offset is unchanged too.  Graph clouds sampled on a (y, t) grid
     share few rows, and the hull input falls from all members to at
-    most two per row.  Only a row of three samples or more can hold
-    such a member, so the row maxima look at those rows alone and a
-    cloud whose rows hold one sample each costs one more mask pass.
-    Returns one record per ball, None for a ball holding no sample.
+    most two per row.  Returns one record per ball, None for a ball
+    holding no sample.
     """
     pts = np.asarray(points, float).reshape(-1, 3)
     if len(pts) == 0:
@@ -453,7 +446,7 @@ def beta_vertical_batch(points, balls):
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     xy = np.ascontiguousarray(pts[:, :2])
     xyt = np.ascontiguousarray(pts.T)
-    cols, starts = _long_rows(xy[:, 1])
+    cols, starts = _rows(xy[:, 1])
     centers = np.array([ball.center for ball in balls]).reshape(-1, 3)
     radii = np.array([ball.radius for ball in balls], float)
     out = []
@@ -490,21 +483,18 @@ def beta_vertical(points, ball: Ball) -> BetaRecord:
 
 
 def save_beta_records(records, path):
-    """Record batch as CSV columns cx,cy,ct,r,beta,theta,offset,method.
-
-    The method column always reads calipers, the one flatness kernel.
-    """
+    """Record batch as CSV columns cx,cy,ct,r,beta,theta,offset."""
     graphs.write_csv(
-        path, ["cx", "cy", "ct", "r", "beta", "theta", "offset", "method"],
-        ([*map(float, (*rec.ball.center, rec.ball.radius, rec.beta,
-                        rec.best_plane.subgroup.theta,
-                        rec.best_plane.offset)), "calipers"]
+        path, ["cx", "cy", "ct", "r", "beta", "theta", "offset"],
+        (list(map(float, (*rec.ball.center, rec.ball.radius, rec.beta,
+                          rec.best_plane.subgroup.theta,
+                          rec.best_plane.offset)))
          for rec in records))
 
 
 def load_beta_records(path):
     out = []
-    for cx, cy, ct, r, b, theta, offset, _ in graphs.read_csv(path):
+    for cx, cy, ct, r, b, theta, offset in graphs.read_csv(path):
         plane = planes.VerticalPlane(
             planes.VerticalSubgroup(float(theta)), float(offset))
         out.append(BetaRecord(Ball(np.array([float(cx), float(cy),

@@ -580,9 +580,8 @@ def refine_predyadic(entries, points, masses, delta=None):
         bands.setdefault(j, []).append(e)
 
     # 5r-covering step per band: radius-descending greedy disjoint family
-    order = {id(e): k for k, e in enumerate(entries)}
     for j, group in bands.items():
-        group.sort(key=lambda e: (-e.ball.radius, order[id(e)]))
+        group.sort(key=lambda e: -e.ball.radius)
         picked = []
         for e in group:
             if all(_mutually_disjoint(e.ball, p.ball) for p in picked):
@@ -620,8 +619,7 @@ def _is_dyadic(balls):
     for i, b1 in enumerate(balls):
         for b2 in balls[i + 1:]:
             if (_ball_relation(b1, b2) == "boundary"
-                    and _ball_relation(b2, b1) == "boundary"
-                    and not _mutually_disjoint(b1, b2)):
+                    and _ball_relation(b2, b1) == "boundary"):
                 return False
     return True
 
@@ -653,11 +651,15 @@ class CoronaTree:
 def corona_partition(tree: CubeTree, root_id, membership):
     """Partition member cubes below a root into stopping-time trees.
 
-    membership maps cube id to bool.  Roots of successive trees are the
-    maximal unassigned member cubes; a tree absorbs all children of a
-    cube when every child is a member, otherwise the cube stops.  Each
-    tree is charged to itself (when rooted at root_id) or to its parent
-    or a lowest-id non-member sibling.
+    membership maps cube id to bool.  One pass visits the cubes below
+    the root top-down, by level descending and id ascending; every
+    member ancestor of a cube is already in a tree when the pass
+    reaches it, so an unassigned member cube found then is maximal and
+    roots the next tree.  A tree absorbs all children of a cube when
+    every child is a member, otherwise the cube stops.  Trees come out
+    in that top-down order of their roots.  Each tree is charged to
+    itself (when rooted at root_id) or to its parent or a lowest-id
+    non-member sibling.
     """
     scope = tree.descendants(root_id)
     member = {cid: bool(membership(cid)) if callable(membership)
@@ -665,47 +667,30 @@ def corona_partition(tree: CubeTree, root_id, membership):
     level, parent = tree.level.tolist(), tree.parent.tolist()
     assigned = set()
     trees = []
-    by_depth = sorted(scope, key=lambda c: (-level[c], c))
-    while True:
-        maximal = []
-        for cid in by_depth:
-            if not member[cid] or cid in assigned:
-                continue
-            p = parent[cid]
-            covered = False
-            while p in member:
-                if member[p] and p not in assigned:
-                    covered = True
-                    break
-                p = parent[p]
-            if not covered:
-                maximal.append(cid)
-        if not maximal:
-            break
-        for root in maximal:
-            if root in assigned:
-                continue
-            members, stop = [], []
-            queue = [root]
-            while queue:
-                cid = queue.pop(0)
-                members.append(cid)
-                assigned.add(cid)
-                children = tree.children(cid)
-                if children and all(member.get(ch, False) for ch in children):
-                    queue.extend(children)
-                else:
-                    stop.append(cid)
-            alias = root
-            if root != root_id:
-                up = parent[root]
-                if not member.get(up, True):
-                    alias = up
-                else:
-                    sibs = [s for s in tree.children(up)
-                            if s != root and not member.get(s, True)]
-                    alias = min(sibs) if sibs else up
-            trees.append(CoronaTree(root, members, stop, alias))
+    for root in sorted(scope, key=lambda c: (-level[c], c)):
+        if not member[root] or root in assigned:
+            continue
+        members, stop = [], []
+        queue = [root]
+        while queue:
+            cid = queue.pop(0)
+            members.append(cid)
+            assigned.add(cid)
+            children = tree.children(cid)
+            if children and all(member.get(ch, False) for ch in children):
+                queue.extend(children)
+            else:
+                stop.append(cid)
+        alias = root
+        if root != root_id:
+            up = parent[root]
+            if not member.get(up, True):
+                alias = up
+            else:
+                sibs = [s for s in tree.children(up)
+                        if s != root and not member.get(s, True)]
+                alias = min(sibs) if sibs else up
+        trees.append(CoronaTree(root, members, stop, alias))
     return trees
 
 

@@ -240,16 +240,6 @@ def cone_aperture(points):
     return best
 
 
-def shear_chart(p, yt):
-    """P_p in chart coordinates: (y, t) -> (y + y_p, t + x_p y + const)."""
-    x0, y0, t0 = np.asarray(p, float)
-    yt = np.asarray(yt, float)
-    out = np.empty(yt.shape)
-    out[..., 0] = yt[..., 0] + y0
-    out[..., 1] = yt[..., 1] + x0 * yt[..., 0] + t0 + 0.5 * x0 * y0
-    return out
-
-
 def translate_graph(g: GridGraph, q, target=None):
     """Reparametrize the left-translated graph q . Gamma.
 
@@ -261,14 +251,20 @@ def translate_graph(g: GridGraph, q, target=None):
     differences.
     """
     q = core.as_point(q)
+    W = planes.subgroup_y_t()
+
+    def shear(p, yt):  # P_p in chart coordinates
+        return planes.project_chart(
+            planes.shear(p, planes.from_plane_coords(yt, W), W), W)
+
     if target is None:
         corners = np.array([[g.ys[0], g.ts[0]], [g.ys[0], g.ts[-1]],
                             [g.ys[-1], g.ts[0]], [g.ys[-1], g.ts[-1]]])
-        sheared = shear_chart(q, corners)
+        sheared = shear(q, corners)
         target = GridGraph(sheared[:, 0].min(), sheared[:, 1].min(), g.dy, g.dt,
                            np.zeros((g.ny, int(np.ceil((sheared[:, 1].max() - sheared[:, 1].min()) / g.dt)) + 1)))
     yy, tt = np.meshgrid(target.ys, target.ts, indexing="ij")
-    src = shear_chart(core.inv(q), np.stack([yy, tt], axis=-1))
+    src = shear(core.inv(q), np.stack([yy, tt], axis=-1))
     vals = q[0] + interp_phi(g, src[..., 0], src[..., 1])
     finite = np.isfinite(vals)
     rows = np.nonzero(finite.any(axis=1))[0]

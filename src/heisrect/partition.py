@@ -83,11 +83,12 @@ def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
 
 
 # Ball-sample pairs per membership chunk of cover_counts and the coding
-# pass.  Both reduce each mask at once and share nothing across a chunk,
-# unlike the flatness batch, so they take a quarter of beta.CHUNK_PAIRS:
-# the kernel's two float buffers stay at 256 KB.  On the crossing-patches
-# benchmark cloud that made both passes faster and kept the coding pass
-# from raising the run's peak RSS.
+# pass; beta.KERNEL_PAIRS bounds the kernel's float buffers whatever
+# this size, and the passes barely notice it.  On the crossing-patches
+# benchmark cloud (seed 1, in-process, medians of 21 rounds in each of
+# two runs, 2-core Xeon) the coding pass took 17.5-17.8 ms at 2^14
+# against 16.8-18.5 ms at 2^16, and cover_counts 6.0-6.3 ms against
+# 5.5 ms.
 MASK_PAIRS = 2 ** 14
 
 
@@ -188,9 +189,10 @@ def coding_partition(tree: CubeTree, root_id, flat_violators,
     """
     violators = np.asarray(flat_violators, dtype=int)
     parent = tree.parent.tolist()
+    flip = {"0": "1", "1": "0"}
     sigma = {root_id: ""}
-    bits_added = {}
     changes = {root_id: 0}
+    max_bits = 0
     scope = tree.samples(root_id)
     for level in range(int(tree.level[root_id]) - 1, tree.j_min - 1, -1):
         labels = tree.label[level][scope]
@@ -202,7 +204,6 @@ def coding_partition(tree: CubeTree, root_id, flat_violators,
         gen = gen_ids.tolist()
         for cid in gen:
             sigma[cid] = sigma[parent[cid]]
-            bits_added[cid] = 0
         qs = np.flatnonzero(np.isin(gen_ids, violators))
         rank, end = _prefix_ranges([sigma[cid] for cid in gen])
         xyt = np.ascontiguousarray(tree.points[scope[order]].T)
@@ -219,42 +220,24 @@ def coding_partition(tree: CubeTree, root_id, flat_violators,
             for q, q1 in zip(gen_ids[block[v[related]]].tolist(),
                              gen_ids[p[related]].tolist()):
                 s_q, s_q1 = sigma[q], sigma[q1]
-                if len(s_q) == len(s_q1):
-                    if s_q == s_q1:
-                        sigma[q] = s_q + "0"
-                        sigma[q1] = s_q1 + "1"
-                        bits_added[q] += 1
-                        bits_added[q1] += 1
-                elif len(s_q) > len(s_q1):
-                    if s_q.startswith(s_q1):
-                        bit = "1" if s_q[len(s_q1)] == "0" else "0"
-                        sigma[q1] = s_q1 + bit
-                        bits_added[q1] += 1
-                else:
-                    if s_q1.startswith(s_q):
-                        bit = "1" if s_q1[len(s_q)] == "0" else "0"
-                        sigma[q] = s_q + bit
-                        bits_added[q] += 1
+                if s_q == s_q1:
+                    sigma[q], sigma[q1] = s_q + "0", s_q1 + "1"
+                elif s_q.startswith(s_q1):
+                    sigma[q1] = s_q1 + flip[s_q[len(s_q1)]]
+                elif s_q1.startswith(s_q):
+                    sigma[q] = s_q + flip[s_q1[len(s_q)]]
         for cid in gen:
             up = parent[cid]
             changes[cid] = changes[up] + (sigma[cid] != sigma[up])
-    removed = set(np.asarray(removed, dtype=int).tolist())
-    sample_sigma = {}
-    sample_changes = {}
-    finest = tree.label[tree.j_min][scope].tolist()
-    for s, cid in zip(scope.tolist(), finest):
-        if s in removed:
-            continue
-        sample_sigma[s] = sigma[cid]
-        sample_changes[s] = changes.get(cid, 0)
+            max_bits = max(max_bits, len(sigma[cid]) - len(sigma[up]))
+    kept = scope[~np.isin(scope, removed)]
+    finest = tree.label[tree.j_min][kept].tolist()
+    sample_sigma = {s: sigma[cid] for s, cid in zip(kept.tolist(), finest)}
     pieces = {}
     for s, code in sample_sigma.items():
         pieces.setdefault(code, []).append(s)
-    pieces = {code: np.array(sorted(idx), dtype=int)
-              for code, idx in pieces.items()}
-    kept = np.array(sorted(sample_sigma), dtype=int)
-    max_bits = max(bits_added.values(), default=0)
-    max_changes = max(sample_changes.values(), default=0)
+    pieces = {code: np.array(idx, dtype=int) for code, idx in pieces.items()}
+    max_changes = max((changes[cid] for cid in finest), default=0)
     return CodingResult(sample_sigma, pieces, sigma, max_bits, max_changes,
                         kept)
 

@@ -34,7 +34,7 @@ def test_beta_subcommand(tmp_path):
     assert rc == 0
     with open(tmp_path / "beta_records.csv") as fh:
         header = fh.readline().strip()
-    assert header == "cx,cy,ct,r,beta,theta,offset,method"
+    assert header == "cx,cy,ct,r,beta,theta,offset"
 
 
 def test_cubes_subcommand_affine_all_zero(tmp_path):
@@ -288,16 +288,16 @@ GOLDEN = {
                    "e872ab0e12478390f51cef4488343d93",
     },
     ("beta", "perturbed", '{}', ()): {
-        "beta_records.csv": "9cd6b5d66ab11c95ba4bb86ef4db5c7f"
-                            "6bcdf3ea84988e61e7d2c6f09a672e29",
+        "beta_records.csv": "c940362ca730bc48ed87f6d5ec37088f"
+                            "aaa042918f07f94a879249f0ded99f84",
     },
     ("beta", "example_tys", '{"n": 21}', ()): {
-        "beta_records.csv": "de04c7ad70c753e1bc4fbe79b07e2d24"
-                            "60e61b86464bcbe94dccde0db8bad53b",
+        "beta_records.csv": "6bcdf98bdd57c50369408d38c6aaca5a"
+                            "f458ddb633545a0d38629be216e3245b",
     },
     ("beta", "two_patch_union", '{"ny": 27}', ()): {
-        "beta_records.csv": "39444400bcd839570d46d23c55fda13a"
-                            "7d619195616bc8a964003100b5517261",
+        "beta_records.csv": "7aac3fc0fab14a239b26122edbd137b4"
+                            "e9705e61aefaaacae4fd6ecf7909b88e",
     },
     ("cubes", "perturbed", '{"n": 36}', ()): {
         "cubes.json": "e7d2bce980a2edaf47cb29afcf70d426"

@@ -545,6 +545,92 @@ def test_corona_checkerboard(plane_tree):
     assert cubes.alias_multiplicity(coronas) <= 2 * branching - 1
 
 
+def loop_corona_partition(tree, root_id, membership):
+    """Oracle: rounds that rescan every cube for maximal unassigned
+    members, walking each cube's ancestors on every scan."""
+    scope = tree.descendants(root_id)
+    member = {cid: bool(membership(cid)) if callable(membership)
+              else bool(membership[cid]) for cid in scope}
+    level, parent = tree.level.tolist(), tree.parent.tolist()
+    assigned = set()
+    trees = []
+    by_depth = sorted(scope, key=lambda c: (-level[c], c))
+    while True:
+        maximal = []
+        for cid in by_depth:
+            if not member[cid] or cid in assigned:
+                continue
+            p = parent[cid]
+            covered = False
+            while p in member:
+                if member[p] and p not in assigned:
+                    covered = True
+                    break
+                p = parent[p]
+            if not covered:
+                maximal.append(cid)
+        if not maximal:
+            break
+        for root in maximal:
+            if root in assigned:
+                continue
+            members, stop = [], []
+            queue = [root]
+            while queue:
+                cid = queue.pop(0)
+                members.append(cid)
+                assigned.add(cid)
+                children = tree.children(cid)
+                if children and all(member.get(ch, False) for ch in children):
+                    queue.extend(children)
+                else:
+                    stop.append(cid)
+            alias = root
+            if root != root_id:
+                up = parent[root]
+                if not member.get(up, True):
+                    alias = up
+                else:
+                    sibs = [s for s in tree.children(up)
+                            if s != root and not member.get(s, True)]
+                    alias = min(sibs) if sibs else up
+            trees.append(cubes.CoronaTree(root, members, stop, alias))
+    return trees
+
+
+@st.composite
+def corona_cases(draw):
+    """A tree over 5 to 120 random samples, one of its roots and a
+    membership drawn per cube, as a callable or as a dict."""
+    n = draw(st.integers(5, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.uniform(-2, 2, (n, 3))
+    tree = cubes.build_cubes(pts, np.ones(n))
+    root = draw(st.sampled_from(tree.roots()))
+    flags = rng.random(len(tree)) < draw(st.sampled_from([0.3, 0.7, 0.95]))
+    if draw(st.booleans()):
+        return tree, root, lambda cid: flags[cid]
+    return tree, root, dict(enumerate(flags.tolist()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(corona_cases())
+def test_corona_matches_round_oracle(case):
+    tree, root, membership = case
+    got = cubes.corona_partition(tree, root, membership)
+    want = loop_corona_partition(tree, root, membership)
+
+    def trees(coronas):
+        return {(ct.root, tuple(ct.members), tuple(ct.stop), ct.root_alias)
+                for ct in coronas}
+
+    assert len(got) == len(want)
+    assert trees(got) == trees(want)
+    keys = [(-tree.level[ct.root], ct.root) for ct in got]
+    assert keys == sorted(keys)
+    cubes.check_corona_axioms(tree, got, membership)
+
+
 def test_carleson_with_integral():
     g = burgers.grid_from_function(lambda y, t: np.abs(y), (-1, 1), (-1, 1),
                                    15, 15)

@@ -191,7 +191,10 @@ def test_translate_gradient_chain_rule():
     grad_q = graphs.intrinsic_gradient(gq)
     # pull each target node back through the shear and compare gradients
     yy, tt = np.meshgrid(gq.ys, gq.ts, indexing="ij")
-    src = graphs.shear_chart(core.inv(q), np.stack([yy, tt], axis=-1))
+    W = planes.subgroup_y_t()
+    src = planes.project_chart(planes.shear(
+        core.inv(q), planes.from_plane_coords(np.stack([yy, tt], axis=-1), W),
+        W), W)
     orig = graphs.intrinsic_gradient(g)
     gi = np.clip(np.round((src[..., 0] - g.y0) / g.dy).astype(int), 0, g.ny - 1)
     gj = np.clip(np.round((src[..., 1] - g.t0) / g.dt).astype(int), 0, g.nt - 1)
