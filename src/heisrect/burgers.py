@@ -7,8 +7,8 @@ Solutions of d_y phi + phi d_t phi = c are affine along the parabolas
 where g(t) = phi(0, t) is the initial trace on the t-axis of the chart.
 As long as no two characteristics meet inside the requested window, the
 fan foliates it and phi is recovered by inverting s -> gamma_t(s) per
-node.  Crossing characteristics mean shock formation and abort the
-solve.
+node, in closed form for the piecewise-linear traces of CGSpec.
+Crossing characteristics mean shock formation and abort the solve.
 """
 
 import json
@@ -137,43 +137,30 @@ def _check_injective(spec: CGSpec):
             s_star = (spec.g_t[k + 1] - spec.g_t[k]) / dg if dg != 0 else y
             raise CrossingDetected(float(s_star), float(spec.g_t[k]),
                                    float(spec.g_t[k + 1]))
-    return fan
 
 
-def solve_cg(spec: CGSpec, ny=101, nt=101, tol=1e-12) -> GridGraph:
+def solve_cg(spec: CGSpec, ny=101, nt=101) -> GridGraph:
     """Solve the constant-gradient equation on the requested window.
 
-    Per node (y, tau), bisect for the source t with
-    t + y g(t) = tau - (c/2) y^2 (strictly monotone in t when the fan
-    does not cross), then phi = c y + g(t).  Raises CrossingDetected on
-    shocks and ValueError when tau leaves the range the knots of g can
-    reach.
+    The source t of node (y, tau) solves t + y g(t) = tau - (c/2) y^2
+    and phi = c y + g(t).  For piecewise-linear g, t + y g(t) runs
+    linearly between the knot arrivals t_k + y g(t_k), which increase
+    when the fan does not cross, so g(t) interpolates the knot values
+    between them.  Raises CrossingDetected on shocks and ValueError
+    when tau leaves the range the knots of g can reach.
     """
-    if ny < 3 or nt < 3:
-        raise ValueError("need at least a 3x3 output grid")
-    _check_injective(spec)
-    ys = np.linspace(spec.y_range[0], spec.y_range[1], ny)
-    taus = np.linspace(spec.t_range[0], spec.t_range[1], nt)
-    t_min, t_max = spec.g_t[0], spec.g_t[-1]
-    ycol = ys[:, None]
-    rhs = taus[None, :] - 0.5 * spec.c * ycol ** 2
-    low_end = t_min + ys * float(spec.g(t_min))
-    high_end = t_max + ys * float(spec.g(t_max))
-    bad = (low_end > rhs.min(axis=1) + tol) | (high_end < rhs.max(axis=1) - tol)
-    if bad.any():
-        raise ValueError("g knots do not cover the characteristic sources "
-                         f"at y={ys[bad][0]}")
-    lo = np.full_like(rhs, t_min)
-    hi = np.full_like(rhs, t_max)
-    for _ in range(64):
-        if hi.max() - lo.min() < tol and np.all(hi - lo < tol):
-            break
-        mid = 0.5 * (lo + hi)
-        high = mid + ycol * spec.g(mid) > rhs
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    phi = spec.c * ycol + spec.g(0.5 * (lo + hi))
-    return GridGraph(ys[0], taus[0], ys[1] - ys[0], taus[1] - taus[0], phi)
+    def phi(yy, tt):
+        _check_injective(spec)
+        rhs = tt - 0.5 * spec.c * yy ** 2
+        arrivals = spec.g_t + yy[:, :1] * spec.g_v
+        bad = ((arrivals[:, 0] > rhs.min(axis=1) + 1e-12)
+               | (arrivals[:, -1] < rhs.max(axis=1) - 1e-12))
+        if bad.any():
+            raise ValueError("g knots do not cover the characteristic "
+                             f"sources at y={yy[bad, 0][0]}")
+        return np.array([spec.c * y + np.interp(r, a, spec.g_v)
+                         for y, r, a in zip(yy[:, 0], rhs, arrivals)])
+    return grid_from_function(phi, spec.y_range, spec.t_range, ny, nt)
 
 
 def verify_along_characteristics(g: GridGraph, spec: CGSpec, n_curves=33) -> float:
@@ -264,7 +251,9 @@ def zero_gradient_kinked(y, t):
 
 
 def grid_from_function(fn, y_range, t_range, ny=101, nt=101) -> GridGraph:
-    """Sample a chart function onto a GridGraph."""
+    """Sample a chart function onto a GridGraph of at least 3x3 nodes."""
+    if ny < 3 or nt < 3:
+        raise ValueError("need at least a 3x3 grid")
     ys = np.linspace(y_range[0], y_range[1], ny)
     ts = np.linspace(t_range[0], t_range[1], nt)
     yy, tt = np.meshgrid(ys, ts, indexing="ij")

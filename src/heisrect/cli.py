@@ -56,15 +56,13 @@ def build_scenario(name, seed=0, params=None):
         nt = int(params.get("nt", 9))
         y_ext = float(params.get("y_extent", 3.0))
         t_ext = float(params.get("t_extent", 0.2))
-        g1 = burgers.grid_from_function(lambda y, t: slope * y,
-                                        (-y_ext, y_ext), (-t_ext, t_ext),
-                                        ny, nt)
-        g2 = burgers.grid_from_function(lambda y, t: -slope * y,
-                                        (-y_ext, y_ext), (-t_ext, t_ext),
-                                        ny, nt)
-        pts = np.vstack([graphs.all_graph_points(g1).reshape(-1, 3),
-                         graphs.all_graph_points(g2).reshape(-1, 3)])
-        masses = np.concatenate([g1.mass.ravel(), g2.mass.ravel()])
+        patches = [burgers.grid_from_function(lambda y, t, s=s: s * y,
+                                              (-y_ext, y_ext),
+                                              (-t_ext, t_ext), ny, nt)
+                   for s in (slope, -slope)]
+        pts = np.vstack([graphs.all_graph_points(g).reshape(-1, 3)
+                         for g in patches])
+        masses = np.concatenate([g.mass.ravel() for g in patches])
         pts, keep = np.unique(np.round(pts, 12), axis=0, return_index=True)
         return None, graphs.GraphPointSet(pts, masses[keep],
                                           "two crossing graph patches")
@@ -110,7 +108,10 @@ def cmd_generate(args, params):
 def cmd_beta(args, params):
     _, ps = build_scenario(args.scenario, args.seed, params)
     os.makedirs(args.out, exist_ok=True)
-    stride = max(1, len(ps.points) // int(params.get("centers", 25)))
+    centers = int(params.get("centers", 25))
+    if centers < 1:
+        raise ConfigError("centers must be at least 1")
+    stride = max(1, len(ps.points) // centers)
     lo, hi = args.scales
     if lo is None:
         lo, hi = -2, 0
@@ -169,19 +170,21 @@ def cmd_burgers(args, params):
     else:
         c = float(params.get("c", 0.0))
         slope = float(params.get("slope", 1.0))
-        y_range = tuple(params.get("y_range", (-0.5, 0.5)))
-        t_range = tuple(params.get("t_range", (-0.3, 0.3)))
-        spec = burgers.linear_spec(c, slope, y_range, t_range)
+        ranges = (params.get("y_range", (-0.5, 0.5)),
+                  params.get("t_range", (-0.3, 0.3)))
+        if any(np.shape(r) != (2,) or np.asarray(r).dtype.kind not in "if"
+               for r in ranges):
+            raise ConfigError("y_range and t_range must be pairs of numbers")
+        spec = burgers.linear_spec(c, slope, *map(tuple, ranges))
     n = int(params.get("n", 81))
     g = burgers.solve_cg(spec, n, n)
     residual = burgers.verify_along_characteristics(g, spec)
     graphs.save_grid_graph(g, os.path.join(args.out, "cg_graph"))
     burgers.save_spec(spec, os.path.join(args.out, "cg_spec.json"))
+    grad = graphs.intrinsic_gradient(g)
     payload = {"c": c, "slope": slope, "residual": residual,
                "grid": [n, n],
-               "gradient_range":
-                   [float(graphs.intrinsic_gradient(g).min()),
-                    float(graphs.intrinsic_gradient(g).max())]}
+               "gradient_range": [float(grad.min()), float(grad.max())]}
     try:
         cfit, dfit, resid = burgers.entire_cg_plane_fit(g, spread_tol=0.05)
         payload["plane_fit"] = {"c": cfit, "d": dfit, "residual": resid}

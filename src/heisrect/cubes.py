@@ -28,8 +28,7 @@ from scipy.spatial import cKDTree
 from . import beta as beta_mod
 from . import core, graphs
 
-# the ball of cube Q at level j is B_Q = B(z_Q, BALL_MULTIPLIER * 2^j),
-# for its flatness, the cover counts and the coding alike
+# cube balls B_Q = B(z_Q, BALL_MULTIPLIER * 2^j), read per CubeTree.balls call
 BALL_MULTIPLIER = 4.0
 
 
@@ -43,19 +42,21 @@ class CubeTree:
     """
 
     def __init__(self, points, masses, label, level, center_index, parent,
-                 mass, j_min, j_max):
+                 j_min, j_max):
         self.points = points
         self.masses = masses
         self.label = label
         self.level = level
         self.center_index = center_index
         self.parent = parent
-        self.mass = mass
         self.j_min = j_min
         self.j_max = j_max
         # CSR groupings: the samples of cube c at level j are
         # order[start[c]:start[c + 1]] of _members[j], ascending
         self._members = {j: _group(lab, len(level)) for j, lab in label.items()}
+        # summed over ascending samples; a weighted bincount rounds otherwise
+        self.mass = np.array([masses[self.samples(c)].sum()
+                              for c in range(len(level))])
         order, start = _group(parent, len(level))
         self._children = (order.tolist(), start.tolist())
 
@@ -77,6 +78,11 @@ class CubeTree:
 
     def center(self, cube_id):
         return self.points[self.center_index[cube_id]]
+
+    def balls(self, ids):
+        """Centers and radii of the cube balls B_Q of the cubes ids."""
+        return (self.points[self.center_index[ids]],
+                BALL_MULTIPLIER * 2.0 ** self.level[ids])
 
     def roots(self):
         return self.at_level(self.j_max)
@@ -335,7 +341,7 @@ def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
                                   2.0 ** (j - 1), tol)]
         key[j + 1] = up[np.searchsorted(nets[j], key[j])]
 
-    label, level, center_index, parent, mass = {}, [], [], [], []
+    label, level, center_index, parent = {}, [], [], []
     for j in range(j_max, j_min - 1, -1):
         centers, first, inv = np.unique(key[j], return_index=True,
                                         return_inverse=True)
@@ -344,14 +350,8 @@ def build_cubes(points, masses, j_min=None, j_max=None) -> CubeTree:
         center_index += centers.tolist()
         parent += (label[j + 1][first].tolist() if j < j_max
                    else [-1] * len(centers))
-        # per cube, masses[samples].sum() over ascending samples; a
-        # bincount with weights would round differently
-        members = np.split(np.argsort(inv, kind="stable"),
-                           np.cumsum(np.bincount(inv))[:-1])
-        mass += [float(masses[m].sum()) for m in members]
     return CubeTree(points, masses, label, np.array(level),
-                    np.array(center_index), np.array(parent),
-                    np.array(mass), j_min, j_max)
+                    np.array(center_index), np.array(parent), j_min, j_max)
 
 
 def check_tree_invariants(tree: CubeTree):
@@ -433,8 +433,8 @@ def sibling_pair(tree: CubeTree, i1, i2):
 
 def cube_beta_cache(tree: CubeTree):
     """Flatness record of the ball B_Q for every cube, by id."""
-    balls = [beta_mod.Ball(tree.center(cid), BALL_MULTIPLIER * 2.0 ** j)
-             for cid, j in enumerate(tree.level.tolist())]
+    centers, radii = tree.balls(range(len(tree)))
+    balls = [beta_mod.Ball(c, r) for c, r in zip(centers, radii.tolist())]
     return dict(enumerate(beta_mod.beta_vertical_batch(tree.points, balls)))
 
 
@@ -478,9 +478,9 @@ def carleson_with_integral(tree: CubeTree, beta_of, epsilons,
     """
     report = carleson_sum(tree, beta_of, epsilons)
     root = max(tree.roots(), key=lambda c: tree.mass[c])
-    radius = BALL_MULTIPLIER * 2.0 ** tree.j_max
+    (center,), (radius,) = tree.balls([root])
     report.integral_estimate = wgl_integral_estimate(
-        tree.points, tree.masses, report.epsilons[:1], tree.center(root),
+        tree.points, tree.masses, report.epsilons[:1], center,
         radius, sample_stride=sample_stride)[0]
     return report
 

@@ -8,7 +8,7 @@ high-flatness cube always land in different pieces.  Each piece then
 satisfies the cone condition with a measured positive aperture, i.e. is
 a graph over the (y, t)-plane W = {x = 0}.  Areas are rasters of the
 chart planes.project_chart(points, planes.subgroup_y_t()), and every
-cube ball is B_Q = B(z_Q, cubes.BALL_MULTIPLIER * 2^j).
+cube ball B_Q comes from CubeTree.balls.
 """
 
 import bisect
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import beta as beta_mod
-from . import cubes, graphs, planes
+from . import graphs, planes
 from .cubes import CubeTree
 
 
@@ -83,12 +83,13 @@ def flatness_violators(tree: CubeTree, root_id, beta_of, eps):
 
 
 # Ball-sample pairs per membership chunk of cover_counts and the coding
-# pass; beta.KERNEL_PAIRS bounds the kernel's float buffers whatever
-# this size, and the passes barely notice it.  On the crossing-patches
-# benchmark cloud (seed 1, in-process, medians of 21 rounds in each of
-# two runs, 2-core Xeon) the coding pass took 17.5-17.8 ms at 2^14
-# against 16.8-18.5 ms at 2^16, and cover_counts 6.0-6.3 ms against
-# 5.5 ms.
+# pass.  On the crossing-patches benchmark cloud (seed 1, in-process,
+# 2-core Xeon, three alternating rounds of medians of 21 calls) the
+# coding pass peaked at 0.93 MB of tracemalloc at 2^14 against 2.03 MB
+# at 2^16, while its times (14.8-17.4 against 13.7-19.1 ms) and those of
+# cover_counts (5.4-6.2 against 4.2-5.8 ms) did not tell the sizes
+# apart.  beta.CHUNK_PAIRS stays 2^16: the flatness batch shares one
+# hull pass among the balls of a chunk that hold the same samples.
 MASK_PAIRS = 2 ** 14
 
 
@@ -98,9 +99,7 @@ def cover_counts(tree: CubeTree, flat_violators):
     The balls go through the membership kernel of the flatness batch in
     chunks of at most MASK_PAIRS ball-sample pairs.
     """
-    cids = np.asarray(flat_violators, dtype=int)
-    centers = tree.points[tree.center_index[cids]]
-    radii = cubes.BALL_MULTIPLIER * 2.0 ** tree.level[cids]
+    centers, radii = tree.balls(flat_violators)
     xyt = np.ascontiguousarray(tree.points.T)
     counts = np.zeros(len(tree.points), dtype=int)
     for _, inside in beta_mod.membership_chunks(xyt, centers, radii,
@@ -207,8 +206,7 @@ def coding_partition(tree: CubeTree, root_id, flat_violators,
         qs = np.flatnonzero(np.isin(gen_ids, violators))
         rank, end = _prefix_ranges([sigma[cid] for cid in gen])
         xyt = np.ascontiguousarray(tree.points[scope[order]].T)
-        centers = tree.points[tree.center_index[gen_ids[qs]]]
-        radii = np.full(len(qs), cubes.BALL_MULTIPLIER * 2.0 ** level)
+        centers, radii = tree.balls(gen_ids[qs])
         for first, inside in beta_mod.membership_chunks(xyt, centers, radii,
                                                         MASK_PAIRS):
             partner = np.logical_and.reduceat(inside, starts, axis=1)

@@ -1,9 +1,84 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from heisrect import burgers, graphs
 
 RNG = np.random.default_rng(41)
+
+
+def bisect_solve_cg(spec, ny, nt, tol=1e-12):
+    """Oracle: the source t of each node by bisection on
+    t + y g(t) = tau - (c/2) y^2 until the bracket is below tol."""
+    if ny < 3 or nt < 3:
+        raise ValueError("need at least a 3x3 output grid")
+    burgers._check_injective(spec)
+    ys = np.linspace(spec.y_range[0], spec.y_range[1], ny)
+    taus = np.linspace(spec.t_range[0], spec.t_range[1], nt)
+    t_min, t_max = spec.g_t[0], spec.g_t[-1]
+    ycol = ys[:, None]
+    rhs = taus[None, :] - 0.5 * spec.c * ycol ** 2
+    low_end = t_min + ys * float(spec.g(t_min))
+    high_end = t_max + ys * float(spec.g(t_max))
+    bad = (low_end > rhs.min(axis=1) + tol) | (high_end < rhs.max(axis=1) - tol)
+    if bad.any():
+        raise ValueError("g knots do not cover the characteristic sources "
+                         f"at y={ys[bad][0]}")
+    lo = np.full_like(rhs, t_min)
+    hi = np.full_like(rhs, t_max)
+    for _ in range(64):
+        if hi.max() - lo.min() < tol and np.all(hi - lo < tol):
+            break
+        mid = 0.5 * (lo + hi)
+        high = mid + ycol * spec.g(mid) > rhs
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+    return spec.c * ycol + spec.g(0.5 * (lo + hi))
+
+
+@st.composite
+def cg_specs(draw):
+    """Specs of 2-9 knots and |c| <= 1 with grids of at most 21x21;
+    some cross or leave the knots' reach."""
+    k = draw(st.integers(2, 9))
+    gaps = draw(st.lists(st.floats(0.1, 6.0), min_size=k - 1,
+                         max_size=k - 1))
+    g_t = draw(st.floats(-6.0, -1.5)) + np.concatenate([[0.0],
+                                                        np.cumsum(gaps)])
+    g_v = draw(st.lists(st.floats(-1.5, 1.5), min_size=k, max_size=k))
+    y0, t0 = draw(st.floats(-1.0, 0.5)), draw(st.floats(-1.0, 0.5))
+    spec = burgers.CGSpec(draw(st.floats(-1.0, 1.0)), g_t, g_v,
+                          (y0, y0 + draw(st.floats(0.01, 1.0))),
+                          (t0, t0 + draw(st.floats(0.01, 1.0))))
+    return spec, draw(st.integers(3, 21)), draw(st.integers(3, 21))
+
+
+def edge_spec(excess):
+    """Two flat knots whose reach ends `excess` below the window's end."""
+    return burgers.CGSpec(0.0, [-1.0, 1.0], [0.0, 0.0], (-0.5, 0.5),
+                          (0.0, 1.0 + excess))
+
+
+@settings(deadline=None, max_examples=60)
+@given(cg_specs())
+@example((edge_spec(1e-13), 5, 5))
+@example((edge_spec(1e-11), 5, 5))
+def test_closed_form_matches_bisection(case):
+    """The closed-form solve raises what the bisection raises, or agrees
+    with it within the bisection's stopping error: a 1e-12 bracket in t
+    moves g by at most its Lipschitz constant times 1e-12.  The two
+    examples sit either side of the 1e-12 coverage slack."""
+    spec, ny, nt = case
+    try:
+        want = bisect_solve_cg(spec, ny, nt)
+    except (burgers.CrossingDetected, ValueError) as err:
+        with pytest.raises(type(err)) as got:
+            burgers.solve_cg(spec, ny, nt)
+        assert got.value.args == err.args
+        return
+    phi = burgers.solve_cg(spec, ny, nt).phi
+    bound = spec.g_lipschitz() * 1e-12 + 1e-15 * (1 + np.abs(want))
+    assert np.all(np.abs(phi - want) <= bound)
 
 
 def test_constant_trace_gives_plane():

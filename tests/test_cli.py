@@ -249,6 +249,25 @@ def test_partition_rejects_nonpositive_thresholds(tmp_path, capsys, params,
     assert err["error"] == {"kind": "numerical", "detail": detail}
 
 
+@pytest.mark.parametrize("command, scenario, params, code", [
+    ("beta", "affine", {"centers": 0}, 2),
+    ("beta", "affine", {"n": 0}, 3),
+    ("wgl", "affine", {"n": 1}, 3),
+    ("beta", "two_patch_union", {"ny": 1}, 3),
+    ("beta", "two_patch_union", {"nt": 1}, 3),
+    ("burgers", "affine", {"y_range": 5}, 2),
+], ids=["centers", "n0", "n1", "ny", "nt", "y_range"])
+def test_bad_config_values_exit_with_error_json(tmp_path, capsys, command,
+                                                scenario, params, code):
+    cfg = write_config(tmp_path, params)
+    capsys.readouterr()
+    rc = cli.main([command, "--scenario", scenario, "--config", str(cfg),
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err.strip()
+    assert rc == code
+    assert list(json.loads(err.splitlines()[-1])) == ["error"]
+
+
 def test_cubes_rerun_byte_identical(tmp_path):
     outs = []
     for sub in ("a", "b"):
