@@ -415,6 +415,49 @@ def _row_ends(members, cols, starts):
     return keep
 
 
+def _reduced_chunks(xy, xyt, cols, starts, centers, radii):
+    """The hull input of each membership chunk of CHUNK_PAIRS pairs.
+
+    Yields (ends, seg, which, sets) per chunk: the row ends of its
+    distinct member sets in (x, y) order and their set ids, each ball's
+    set id, and the number of sets.
+    """
+    for _, inside in membership_chunks(xyt, centers, radii, CHUNK_PAIRS):
+        # one void value per packed row, so np.unique compares whole
+        # rows byte by byte; first[w] is a ball holding member set w
+        rows = np.packbits(inside, axis=1)
+        rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+        _, first, which = np.unique(rows, return_index=True,
+                                    return_inverse=True)
+        seg, idx = np.divmod(
+            np.flatnonzero(_row_ends(inside[first], cols, starts)), len(xy))
+        # np.take gathers rows several times faster than fancy indexing
+        yield np.take(xy, idx, axis=0), seg, which, len(first)
+
+
+def _merged(chunks):
+    """Chunks of _reduced_chunks as one, set ids shifted past earlier sets."""
+    at = np.cumsum([0] + [c[3] for c in chunks])
+    return (np.concatenate([c[0] for c in chunks]),
+            np.concatenate([c[1] + a for c, a in zip(chunks, at)]),
+            np.concatenate([c[2] + a for c, a in zip(chunks, at)]),
+            int(at[-1]))
+
+
+def _batches(chunks):
+    """Consecutive chunks merged into batches of at most CHUNK_PAIRS row
+    ends; a chunk with more than that is a batch of its own."""
+    batch, held = [], 0
+    for chunk in chunks:
+        if batch and held + len(chunk[0]) > CHUNK_PAIRS:
+            yield _merged(batch)
+            batch, held = [], 0
+        batch.append(chunk)
+        held += len(chunk[0])
+    if batch:
+        yield _merged(batch)
+
+
 def beta_vertical_batch(points, balls):
     """Exact vertical flatness records of a list of balls over one cloud.
 
@@ -423,11 +466,16 @@ def beta_vertical_batch(points, balls):
     horizontal projections, so the infimum is half the minimum hull
     width divided by r.  The samples are sorted by (x, y) once, so each
     ball's horizontal points come out of the membership test sorted;
-    balls are then handled in chunks of at most CHUNK_PAIRS ball-sample
+    balls are then tested in chunks of at most CHUNK_PAIRS ball-sample
     pairs (one ball at least).  Balls of a chunk that hold the same
-    samples (found by comparing whole mask rows) share one hull pass,
-    width scan and best plane, and each scales the shared width by its
-    own radius.
+    samples (found by comparing whole mask rows) share one member set,
+    width and best plane, and each scales the shared width by its own
+    radius.  The sets of consecutive chunks then go through the hull
+    pass and the width scan together, in batches of at most CHUNK_PAIRS
+    hull input points (a chunk with more is a batch of its own).  Each
+    set is a segment of its own in both, so the grouping changes no
+    record: the chain never spans two segments, and the stacked width
+    products are the same entry for entry.
 
     Only the first and the last member of each horizontal row y = const
     of a member set enter its hull pass and width scan (the throw-away
@@ -450,23 +498,13 @@ def beta_vertical_batch(points, balls):
     centers = np.array([ball.center for ball in balls]).reshape(-1, 3)
     radii = np.array([ball.radius for ball in balls], float)
     out = []
-    for s, inside in membership_chunks(xyt, centers, radii, CHUNK_PAIRS):
-        chunk = balls[s:s + len(inside)]
-        # one void value per packed row, so np.unique compares whole
-        # rows byte by byte; first[w] is a ball holding member set w
-        rows = np.packbits(inside, axis=1)
-        rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-        _, first, which = np.unique(rows, return_index=True,
-                                    return_inverse=True)
-        seg, idx = np.divmod(
-            np.flatnonzero(_row_ends(inside[first], cols, starts)), len(pts))
-        # np.take gathers rows several times faster than fancy indexing
-        hulls = _segment_hulls(np.take(xy, idx, axis=0), seg)
-        per_set = _segment_widths(len(first), *hulls)
+    for ends, seg, which, sets in _batches(
+            _reduced_chunks(xy, xyt, cols, starts, centers, radii)):
+        per_set = _segment_widths(sets, *_segment_hulls(ends, seg))
         scans = [per_set[w] for w in which.tolist()]
         out += [None if scan is None else
                 BetaRecord(ball, 0.5 * scan[0] / ball.radius, scan[1])
-                for ball, scan in zip(chunk, scans)]
+                for ball, scan in zip(balls[len(out):], scans)]
     return out
 
 

@@ -151,6 +151,8 @@ def cmd_wgl(args, params):
     center = ps.points[int(np.argmin(core.dist(ps.points,
                                                np.median(ps.points, axis=0))))]
     radius = float(core.dist(ps.points, center).max())
+    if not radius > 0:
+        raise ValueError("wgl needs two distinct samples")
     ests = cubes.wgl_integral_estimate(
         ps.points, ps.masses, args.epsilons, center, radius,
         sample_stride=int(params.get("stride", 4)))

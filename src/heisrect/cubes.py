@@ -450,7 +450,8 @@ def carleson_sum(tree: CubeTree, beta_of, epsilons) -> CarlesonReport:
     """Packing sums K(eps, root) = sum of mu(Q)/mu(root) over high-beta cubes.
 
     beta_of maps cube id to its BetaRecord (cube_beta_cache output);
-    missing entries raise.
+    missing entries raise, and so does a root of no mass, whose sums
+    are undefined.
     """
     epsilons = sorted(float(e) for e in epsilons)
     mass = tree.mass.tolist()
@@ -458,10 +459,13 @@ def carleson_sum(tree: CubeTree, beta_of, epsilons) -> CarlesonReport:
     for root in tree.roots():
         ids = tree.descendants(root)
         root_mass = mass[root]
+        if not root_mass > 0:
+            raise ValueError(f"root cube {root} has no mass, so its packing "
+                             "sums are undefined")
         ks = []
         for eps in epsilons:
             total = sum(mass[cid] for cid in ids if beta_of[cid].beta >= eps)
-            ks.append(total / root_mass if root_mass > 0 else 0.0)
+            ks.append(total / root_mass)
         per_root[root] = ks
     sup_k = [max(per_root[r][i] for r in per_root)
              for i in range(len(epsilons))]

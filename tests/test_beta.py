@@ -478,11 +478,19 @@ def test_membership_chunks_match_core_dist(case, kernel):
     assert np.array_equal(np.vstack([m for _, m in got]), want)
 
 
+def row_end_count(pts, mask):
+    """Hull input points of one member set: one or two per row y = const."""
+    _, per_row = np.unique(pts[np.asarray(mask), 1], return_counts=True)
+    return int(np.minimum(per_row, 2).sum())
+
+
 @settings(deadline=None, max_examples=80)
 @given(shared_member_balls())
 def test_batch_shares_scans_and_matches_single_balls(case):
-    """Each chunk scans each distinct member set once, and every record
-    equals the one-ball batch bit for bit."""
+    """Each chunk of `step` balls keeps each distinct member set once;
+    consecutive chunks share one width scan as long as their row ends
+    fit in CHUNK_PAIRS, and every record equals the one-ball batch bit
+    for bit."""
     pts, balls, step = case
     scanned = []
     widths = beta._segment_widths
@@ -497,8 +505,16 @@ def test_batch_shares_scans_and_matches_single_balls(case):
     assert len(got) == len(balls)
     masks = [tuple(core.dist(pts, ball.center) <= ball.radius)
              for ball in balls]
-    assert scanned == [len(set(masks[s:s + step]))
-                       for s in range(0, len(balls), step)]
+    batches = []  # [sets, row ends] per batch
+    for s in range(0, len(balls), step):
+        sets = set(masks[s:s + step])
+        ends = sum(row_end_count(pts, m) for m in sets)
+        if batches and batches[-1][1] + ends <= step * len(pts):
+            batches[-1][0] += len(sets)
+            batches[-1][1] += ends
+        else:
+            batches.append([len(sets), ends])
+    assert scanned == [sets for sets, _ in batches]
     for ball, rec in zip(balls, got):
         try:
             want = beta.beta_vertical(pts, ball)
@@ -510,6 +526,54 @@ def test_batch_shares_scans_and_matches_single_balls(case):
                       rec.best_plane.offset)) == \
             _bits((want.beta, want.best_plane.subgroup.theta,
                    want.best_plane.offset))
+
+
+@st.composite
+def budgeted_balls(draw):
+    """A fibred or a row cloud with its balls, the list repeated, and a
+    CHUNK_PAIRS from one pair to four balls' worth: below one ball a
+    chunk holds one ball and may exceed the batch budget alone, above it
+    a batch may merge several chunks."""
+    pts, balls = draw(st.one_of(fibred_clouds_and_balls().map(
+        lambda case: case[:2]), row_clouds_and_balls()))
+    return (pts, balls * draw(st.integers(1, 3)),
+            draw(st.integers(1, 4 * len(pts))))
+
+
+@settings(deadline=None, max_examples=100)
+@given(budgeted_balls())
+def test_batches_bound_hull_input_and_match_per_ball_oracle(case):
+    """Batches of row ends cut across and between membership chunks give
+    the per-ball oracle's records bit for bit, and no hull pass takes
+    more than CHUNK_PAIRS points unless one chunk alone has more."""
+    pts, balls, pairs = case
+    chunk_rows, hull_rows = [], []
+    reduced, hulls = beta._reduced_chunks, beta._segment_hulls
+
+    def counting_chunks(*args):
+        for chunk in reduced(*args):
+            chunk_rows.append(len(chunk[0]))
+            yield chunk
+
+    def counting_hulls(xy, seg):
+        hull_rows.append(len(xy))
+        return hulls(xy, seg)
+
+    with mock.patch.object(beta, "CHUNK_PAIRS", pairs), \
+            mock.patch.object(beta, "_reduced_chunks", counting_chunks), \
+            mock.patch.object(beta, "_segment_hulls", counting_hulls):
+        got = beta.beta_vertical_batch(pts, balls)
+    assert sum(hull_rows) == sum(chunk_rows)
+    over = {rows for rows in chunk_rows if rows > pairs}
+    assert all(rows <= pairs or rows in over for rows in hull_rows)
+    assert len(got) == len(balls)
+    for ball, rec in zip(balls, got):
+        ref = per_ball_oracle(pts, ball)
+        assert (rec is None) == (ref is None)
+        if rec is not None:
+            assert rec.ball is ball
+            assert _bits((rec.beta, rec.best_plane.subgroup.theta,
+                          rec.best_plane.offset)) == _bits(ref)
 
 
 def test_affine_scenario_balls_flat(tmp_path):

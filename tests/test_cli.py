@@ -205,20 +205,21 @@ def test_custom_grid_rejects_bad_rows(tmp_path, capsys, edit, detail):
     assert err["error"]["detail"].endswith("graph.csv: " + detail)
 
 
-def run_partition(tmp_path, capsys, scenario, params):
-    """Run `partition`; returns (exit code, error JSON)."""
+def run_partition(tmp_path, capsys, scenario, params, command="partition"):
+    """Run `partition` (or `command`); returns (exit code, error JSON)."""
     cfg = write_config(tmp_path, params)
     capsys.readouterr()
-    rc = cli.main(["partition", "--scenario", scenario, "--config",
+    rc = cli.main([command, "--scenario", scenario, "--config",
                    str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err.strip()
     return rc, json.loads(err.splitlines()[-1]) if err else None
 
 
-def run_partition_on_points(tmp_path, capsys, rows):
+def run_partition_on_points(tmp_path, capsys, rows, command="partition"):
     path = tmp_path / "points.csv"
     path.write_text("x,y,t,mass\n" + "".join(rows))
-    return run_partition(tmp_path, capsys, "custom_file", {"path": str(path)})
+    return run_partition(tmp_path, capsys, "custom_file", {"path": str(path)},
+                         command)
 
 
 def test_partition_rejects_massless_cloud(tmp_path, capsys):
@@ -227,6 +228,28 @@ def test_partition_rejects_massless_cloud(tmp_path, capsys):
     assert rc == 3
     assert err["error"]["kind"] == "numerical"
     assert "no mass" in err["error"]["detail"]
+
+
+def test_cubes_rejects_massless_cloud(tmp_path, capsys):
+    """A cloud of no mass has no packing sums, not sums of 0."""
+    rc, err = run_partition_on_points(tmp_path, capsys, (
+        f"{0.1 * k},{0.05 * k * k},{0.01 * k},0.0\n" for k in range(12)),
+        "cubes")
+    assert rc == 3
+    assert err["error"]["kind"] == "numerical"
+    assert "has no mass" in err["error"]["detail"]
+    assert not (tmp_path / "out" / "carleson.csv").exists()
+
+
+@pytest.mark.parametrize("rows", [
+    ["0.1,0.2,0.3,1.0\n"],
+    ["0.1,0.2,0.3,1.0\n"] * 2,
+], ids=["one", "two_copies"])
+def test_wgl_rejects_fewer_than_two_distinct_samples(tmp_path, capsys, rows):
+    rc, err = run_partition_on_points(tmp_path, capsys, rows, "wgl")
+    assert rc == 3
+    assert err["error"] == {"kind": "numerical",
+                            "detail": "wgl needs two distinct samples"}
 
 
 def test_partition_rejects_single_projection_cloud(tmp_path, capsys):
